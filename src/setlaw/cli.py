@@ -71,12 +71,6 @@ class RunConfig:
     output_dir: str
     params: dict
 
-    def __eq__(self, other):
-        if not isinstance(other, RunConfig):
-            return NotImplemented
-        return (self.command, self.master_seed, self.output_dir, self.params) == \
-            (other.command, other.master_seed, other.output_dir, other.params)
-
 
 # key -> (type, required, default); default None with required=False means
 # the key may be absent from params entirely.
@@ -360,7 +354,7 @@ def _cmd_hausdorff(config: RunConfig, out: Path, threads: int, strict: bool) -> 
     value = hausdorff_distance(body_a, body_b, grid)
     _write_manifest(out, config, ["manifest.txt"],
                     grid.label if grid is not None else "exact1d count=2")
-    print(f"{value:g}")
+    print(repr(float(value)))
     return EXIT_OK
 
 
@@ -412,7 +406,10 @@ def dispatch(config: RunConfig, out_dir: str | None = None, threads: int = 1,
 def _resolve_threads(flag: int | None) -> int:
     if flag is None:
         env = os.environ.get("SETLAW_THREADS", "").strip()
-        flag = int(env) if env else 0
+        try:
+            flag = int(env) if env else 0
+        except ValueError:
+            raise ConfigError(f"SETLAW_THREADS must be an integer, got {env!r}") from None
     if flag < 0:
         raise ConfigError("--threads must be >= 0")
     return flag if flag > 0 else (os.cpu_count() or 1)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from multiprocessing import get_context
@@ -138,9 +139,12 @@ def _bound_ok(empirical: float, bound: float, replications: int) -> bool:
 
 
 def _map_chunks(func, args_list, threads: int):
-    if threads <= 1 or len(args_list) <= 1:
+    # the fork context starts every worker up front, so never ask for more
+    # than there are chunks or CPUs; outputs do not depend on the count
+    workers = min(threads, len(args_list), os.cpu_count() or 1)
+    if workers <= 1:
         return [func(a) for a in args_list]
-    with ProcessPoolExecutor(max_workers=threads,
+    with ProcessPoolExecutor(max_workers=workers,
                              mp_context=get_context("fork")) as pool:
         return list(pool.map(func, args_list))
 

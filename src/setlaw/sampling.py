@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -97,6 +97,13 @@ class EllipsoidFamilySpec:
     def dim(self) -> int:
         return len(self.semi_axes)
 
+    @cached_property
+    def axes(self) -> np.ndarray:
+        """Semi-axes as a float array; read-only because specs are shared."""
+        axes = np.asarray(self.semi_axes, dtype=float)
+        axes.flags.writeable = False
+        return axes
+
 
 @dataclass(frozen=True)
 class SetSample:
@@ -161,7 +168,7 @@ def _draw_ellipsoid(spec: EllipsoidFamilySpec, count: int,
         z[bad] = rng.standard_normal((int(bad.sum()), n))
         norms = np.linalg.norm(z, axis=1, keepdims=True)
     radii = rng.random(count) ** (1.0 / n)
-    return z / norms * radii[:, None] * np.asarray(spec.semi_axes)
+    return z / norms * radii[:, None] * spec.axes
 
 
 def _draw_shifted_coords(spec: EllipsoidFamilySpec, count: int,
@@ -174,7 +181,7 @@ def _draw_shifted_coords(spec: EllipsoidFamilySpec, count: int,
     """
     blocks = -(-count // spec.dim)
     x = _draw_ellipsoid(spec, blocks, rng)
-    y = x + np.asarray(spec.semi_axes)
+    y = x + spec.axes
     return y.reshape(-1)[:count]
 
 
@@ -191,7 +198,7 @@ def make_interval_family(spec: EllipsoidFamilySpec, count: int,
     if count < 1:
         raise FamilyError("count must be >= 1")
     y = _draw_shifted_coords(spec, count, seed.generator())
-    axes = np.resize(np.asarray(spec.semi_axes), count)
+    axes = np.resize(spec.axes, count)
     bodies = tuple(Interval(0.0, float(v)) for v in y)
     expectations = tuple(Interval(0.0, float(a)) for a in axes)
     return SetSample(bodies, seed=seed, family_tag=f"ellipsoid_interval dim={spec.dim}",
@@ -200,8 +207,7 @@ def make_interval_family(spec: EllipsoidFamilySpec, count: int,
 
 def interval_family_variances(spec: EllipsoidFamilySpec) -> np.ndarray:
     """Exact per-index variance of the upper endpoint: a_i^2 / (dim + 2)."""
-    axes = np.asarray(spec.semi_axes)
-    return axes ** 2 / (spec.dim + 2.0)
+    return spec.axes ** 2 / (spec.dim + 2.0)
 
 
 def sample_ellipse_pair(a: float, b: float, center: tuple[float, float],
@@ -276,6 +282,20 @@ def make_generic_family(body_template: ConvexBody, scalar_process: str, count: i
 _EXACT_1D = make_direction_grid(1, 2, "exact1d")
 
 
+@lru_cache(maxsize=64)
+def _interval_spec(axes_pattern: tuple[float, ...], d: int,
+                   clamp: bool) -> EllipsoidFamilySpec:
+    """Shifted d-axis spec cycling ``axes_pattern``, clamped to sqrt(d) if asked.
+
+    Cached because the weak-law harness asks for the same spec at every
+    replication; a spec is immutable, so sharing one is safe.
+    """
+    axes = np.resize(np.asarray(axes_pattern), d)
+    if clamp:
+        axes = np.minimum(axes, math.sqrt(d))
+    return EllipsoidFamilySpec(tuple(axes), shift="to_positive")
+
+
 @dataclass(frozen=True)
 class EllipsoidIntervalFamily:
     """Interval family [0, Y_i] driven by one uniform ellipsoid draw.
@@ -312,15 +332,13 @@ class EllipsoidIntervalFamily:
         return f"ellipsoid_interval a={self.axes_pattern} {mode}"
 
     def _spec_for(self, n: int) -> EllipsoidFamilySpec:
-        d = self.block_dim if self.block_dim is not None else n
-        axes = np.resize(np.asarray(self.axes_pattern), d)
         if self.block_dim is None:
-            axes = np.minimum(axes, math.sqrt(d))
-        return EllipsoidFamilySpec(tuple(axes), shift="to_positive")
+            return _interval_spec(self.axes_pattern, n, True)
+        return _interval_spec(self.axes_pattern, self.block_dim, False)
 
     def axes_for(self, n: int) -> np.ndarray:
         """Semi-axes actually used for positions 1..n (cycled over blocks)."""
-        return np.resize(np.asarray(self._spec_for(n).semi_axes), n)
+        return np.resize(self._spec_for(n).axes, n)
 
     def describe(self, n: int) -> str:
         spec = self._spec_for(n)

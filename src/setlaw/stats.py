@@ -30,13 +30,10 @@ from .geometry import (
     Interval,
     SupportVector,
     embed,
-    make_direction_grid,
     support_function,
     Direction,
 )
-from .sampling import SetSample
-
-_EXACT_1D = make_direction_grid(1, 2, "exact1d")
+from .sampling import _EXACT_1D, SetSample
 
 
 class StatsError(ValueError):

@@ -17,6 +17,7 @@ from setlaw import (
     EllipsoidIntervalFamily,
     Interval,
     Polytope,
+    ScaledTemplateFamily,
     SeedSpec,
     SllnConfig,
     VarianceSchedule,
@@ -128,6 +129,22 @@ def test_criterion_4_wlln_bound():
     _report(bound_ok and final_count == 0 and elapsed < 60.0,
             f"criterion 4: exceedance <= bound+3SE at all n (ok={bound_ok}), "
             f"count at n=1000 is {final_count}, runtime={elapsed:.1f}s < 60s")
+
+
+def test_criterion_4_negative_control_bound_check_can_fail():
+    # the bound sums per-index variances, which is valid only for
+    # uncorrelated summands; an AR(1) chain with rho = 0.9 makes the mean's
+    # variance about (1 + rho)/(1 - rho) = 19 times larger, so with epsilon
+    # set for a bound of 0.05 about 0.31 of the replications exceed it
+    family = ScaledTemplateFamily(Interval(0.0, 4.0), "ar1", rho=0.9)
+    n = 1000
+    epsilon = math.sqrt(family.chebyshev_bound(n, 1.0) / 0.05)
+    assert family.chebyshev_bound(n, epsilon) == pytest.approx(0.05)
+    report = run_wlln(WllnConfig(family, (n,), epsilon, 2000, SeedSpec(1012)))
+    row = report.rows[0]
+    _report(row.bound_ok is False and not compare_bound(report)[0]["ok"],
+            f"criterion 4 negative control: ar1 rho=0.9 exceedance "
+            f"{row.exceed_freq:.3g} vs bound {row.bound:.3g} flagged (ok={row.bound_ok})")
 
 
 # -- criterion 5: weak-law decay ----------------------------------------------------

@@ -10,6 +10,7 @@ from setlaw.cli import (
     EXIT_OK,
     EXIT_STRICT_FAILURE,
     dispatch,
+    main,
     parse_config,
     render_config,
 )
@@ -114,12 +115,16 @@ def test_missing_rho_for_ar1():
 # -- dispatch ---------------------------------------------------------------------
 
 def test_hausdorff_prints_gap(capsys, tmp_path):
-    config = parse_config(
-        "command = hausdorff\nbody_a = interval 0 1\nbody_b = interval 0 3\n")
-    code = dispatch(config, out_dir=str(tmp_path))
-    assert code == EXIT_OK
-    assert capsys.readouterr().out.strip() == "2"
-    assert (tmp_path / "manifest.txt").exists()
+    # the printed value is repr(float), as in the CSVs, so no digits are lost
+    for body_a, body_b, printed in (("interval 0 1", "interval 0 3", "2.0"),
+                                    ("interval 0 1.123456789", "interval 0 0",
+                                     "1.123456789")):
+        config = parse_config(
+            f"command = hausdorff\nbody_a = {body_a}\nbody_b = {body_b}\n")
+        code = dispatch(config, out_dir=str(tmp_path))
+        assert code == EXIT_OK
+        assert capsys.readouterr().out.strip() == printed
+        assert (tmp_path / "manifest.txt").exists()
 
 
 def test_wlln_writes_expected_files(tmp_path):
@@ -265,3 +270,13 @@ def test_cli_error_is_one_line(tmp_path):
     assert result.returncode == 1
     assert "epsilon" in result.stderr
     assert len(result.stderr.strip().splitlines()) == 1
+
+
+def test_bad_threads_env_is_one_line_error(tmp_path, monkeypatch, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(WLLN_TEXT)
+    monkeypatch.setenv("SETLAW_THREADS", "abc")
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("setlaw: ") and "SETLAW_THREADS" in err[0]
+    assert not (tmp_path / "o").exists()

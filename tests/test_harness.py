@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from setlaw import (
     run_slln,
     run_wlln,
 )
+from setlaw import harness
 from setlaw.harness import ReportRow
 
 SEED = SeedSpec(42)
@@ -249,3 +251,32 @@ def test_slln_on_two_dimensional_family():
                                   direction_grid=grid)
     report = run_slln(SllnConfig(scaled, 2500, 5, SeedSpec(11)))
     assert bool(report.detail["path_pass"].all())
+
+
+def test_pool_size_is_clamped_to_chunks_and_cpus(monkeypatch):
+    # a stand-in executor records the requested size and starts no process
+    requested = []
+
+    class RecordingPool:
+        def __init__(self, max_workers, mp_context):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, func, args_list):
+            return map(func, args_list)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    assert harness._map_chunks(abs, [-1, -2, -3], 64) == [1, 2, 3]
+    assert harness._map_chunks(abs, list(range(-10, 0)), 64) == list(range(10, 0, -1))
+    assert requested == [3, 4]
+    # one chunk or one CPU runs in-process without a pool
+    assert harness._map_chunks(abs, [-5], 64) == [5]
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert harness._map_chunks(abs, [-1, -2], 64) == [1, 2]
+    assert requested == [3, 4]

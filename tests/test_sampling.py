@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from setlaw import (
     write_set_sample,
     Direction,
 )
+from setlaw.harness import _STREAM_SHIFT, _wlln_chunk
 
 UP = Direction((1.0,))
 
@@ -258,3 +260,59 @@ def test_regenerated_family_clamps_axes_to_sqrt_n():
     axes100 = fam.axes_for(100)
     assert np.allclose(axes100, 5.0)  # 5 <= sqrt(100), no clamp
     assert "min(pattern, sqrt(n))" in fam.describe(4)
+
+
+# -- per-length spec cache ------------------------------------------------------
+
+def _fresh_gaps(fam, n, master, reps):
+    """Weak-law gaps with a spec rebuilt from the pattern at every replication."""
+    target = fam.mean_supports(n).mean(axis=0)
+    gaps = np.empty(reps)
+    for r in range(reps):
+        rng = SeedSpec(master, (n << _STREAM_SHIFT) | r).generator()
+        d = fam.block_dim if fam.block_dim is not None else n
+        axes = np.resize(np.asarray(fam.axes_pattern), d)
+        if fam.block_dim is None:
+            axes = np.minimum(axes, math.sqrt(d))
+        spec = EllipsoidFamilySpec(tuple(axes), shift="to_positive")
+        a = np.asarray(spec.semi_axes)
+        z = rng.standard_normal((-(-n // d), d))
+        radii = rng.random(len(z)) ** (1.0 / d)
+        x = z / np.linalg.norm(z, axis=1, keepdims=True) * radii[:, None] * a
+        supports = np.zeros((n, 2))
+        supports[:, 0] = (x + a).reshape(-1)[:n]
+        gaps[r] = float(np.abs(supports.mean(axis=0) - target).max())
+    return gaps
+
+
+@pytest.mark.parametrize("block_dim,n", [(None, 10), (None, 100), (None, 1000), (16, 100)])
+def test_cached_spec_gaps_equal_fresh_spec_gaps(block_dim, n):
+    fam = EllipsoidIntervalFamily((1.0, 5.0), block_dim)  # sqrt(n) clamp bites at n = 10
+    reps = 40
+    target = fam.mean_supports(n).mean(axis=0)
+    for _ in range(2):  # the second pass reads a cache the first one filled
+        cached = _wlln_chunk((fam, n, 77, 0, reps, target))
+        assert np.array_equal(cached, _fresh_gaps(fam, n, 77, reps))
+
+
+def test_spec_axes_are_read_only():
+    spec = EllipsoidIntervalFamily((1.0, 2.0))._spec_for(10)
+    assert np.array_equal(spec.axes, np.asarray(spec.semi_axes))
+    with pytest.raises(ValueError):
+        spec.axes[0] = 5.0
+
+
+def test_filled_cache_keeps_family_equality_hash_and_pickle():
+    a = EllipsoidIntervalFamily((1.0, 2.0), 8)
+    b = EllipsoidIntervalFamily((1.0, 2.0), 8)
+    size = len(pickle.dumps(a))
+    a.support_draws(50, SeedSpec(3).generator())
+    a.variances(50)
+    assert a._spec_for(50) is b._spec_for(50)
+    # same pattern and draw dimension, but only the regenerated spec is clamped
+    regen = EllipsoidIntervalFamily((1.0, 5.0))._spec_for(16)
+    assert regen.semi_axes != EllipsoidIntervalFamily((1.0, 5.0), 16)._spec_for(16).semi_axes
+    assert a == b and hash(a) == hash(b)
+    assert len(pickle.dumps(a)) == size
+    again = pickle.loads(pickle.dumps(a))
+    assert again == a and hash(again) == hash(a)
