@@ -24,6 +24,7 @@ from .geometry import (
     scalar_mul,
     set_norm,
     support_function,
+    support_values,
     zero_body,
 )
 from .sampling import (

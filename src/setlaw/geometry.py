@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -30,6 +30,11 @@ _SUBSAMPLE_PAIRS = 20_000
 
 _DEFAULT_GRID_COUNT = 256
 
+# Element count of one block of a blocked array computation: 32768
+# float64 values (256 KiB) stay in cache, and no temporary grows with
+# the product of two large dimensions.
+_BLOCK_ELEMENTS = 1 << 15
+
 
 class GeometryError(ValueError):
     """Invalid geometric construction or query."""
@@ -39,6 +44,13 @@ def _readonly(arr, dtype=float) -> np.ndarray:
     out = np.array(arr, dtype=dtype)
     out.setflags(write=False)
     return out
+
+
+def _row_blocks(rows: int, width: int) -> Iterator[slice]:
+    """Slices of ``rows`` so that a (block, width) array has about _BLOCK_ELEMENTS."""
+    step = max(1, _BLOCK_ELEMENTS // max(width, 1))
+    for start in range(0, rows, step):
+        yield slice(start, min(rows, start + step))
 
 
 @dataclass(frozen=True)
@@ -121,16 +133,13 @@ class DirectionGrid:
         vectors where 1 - <u_i, u_j> loses all precision.
         """
         m = self._matrix
-        count = len(self._directions)
         pairs = []
-        chunk = max(1, min(count, 8_000_000 // max(count, 1)))
-        for start in range(0, count, chunk):
-            stop = min(count, start + chunk)
-            gram = m[start:stop] @ m.T
+        for rows in _row_blocks(len(m), len(m)):
+            gram = m[rows] @ m.T
             # dist^2 = 2 + 2*sign*gram; candidates where that may be tiny
             cand = np.argwhere(2.0 + 2.0 * sign * gram < 1e-12)
             for loc, j in cand:
-                i = start + int(loc)
+                i = rows.start + int(loc)
                 j = int(j)
                 if i >= j:
                     continue
@@ -199,11 +208,17 @@ class DirectionGrid:
         """Index of the grid direction matching u within chordal tol, else None."""
         if u.dim != self._dim:
             return None
-        d2 = np.sum((self._matrix - u.vector) ** 2, axis=1)
-        k = int(np.argmin(d2))
-        if float(np.linalg.norm(self._matrix[k] - u.vector)) <= tol:
-            return k
-        return None
+        idx, hit = self._nearest(u.vector[None, :], tol)
+        return int(idx[0]) if hit[0] else None
+
+    def _nearest(self, U: np.ndarray,
+                 tol: float = DUPLICATE_TOL) -> tuple[np.ndarray, np.ndarray]:
+        """Nearest grid index of each row of U, and whether it lies within chordal tol."""
+        m = self._matrix
+        idx = np.empty(len(U), dtype=np.intp)
+        for rows in _row_blocks(len(U), m.size):
+            idx[rows] = np.argmin(np.sum((U[rows, None, :] - m) ** 2, axis=2), axis=1)
+        return idx, np.linalg.norm(U - m[idx], axis=1) <= tol
 
     @cached_property
     def _midpoint_triples(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -215,15 +230,20 @@ class DirectionGrid:
         """
         m = self._matrix
         count = len(self._directions)
-        ii, jj = np.triu_indices(count, k=1)
-        if count > _FULL_CHECK_LIMIT and len(ii) > _SUBSAMPLE_PAIRS:
-            stride = len(ii) // _SUBSAMPLE_PAIRS + 1
-            ii, jj = ii[::stride], jj[::stride]
+        total = count * (count - 1) // 2
+        stride = 1
+        if count > _FULL_CHECK_LIMIT and total > _SUBSAMPLE_PAIRS:
+            stride = total // _SUBSAMPLE_PAIRS + 1
+        # every stride-th pair of the row-major upper triangle (i < j), found
+        # from its flat index through the row starts i*count - i*(i+1)/2
+        flat = np.arange(0, total, stride)
+        rows = np.arange(count)
+        starts = rows * count - rows * (rows + 1) // 2
+        ii = np.searchsorted(starts, flat, side="right") - 1
+        jj = flat - starts[ii] + ii + 1
         out_i, out_j, out_k, out_s = [], [], [], []
-        # keep each candidate matmul against the grid under ~64 MB
-        chunk = max(256, 8_000_000 // max(count, 1))
-        for start in range(0, len(ii), chunk):
-            ci, cj = ii[start:start + chunk], jj[start:start + chunk]
+        for block in _row_blocks(len(ii), count):
+            ci, cj = ii[block], jj[block]
             sums = m[ci] + m[cj]
             norms = np.linalg.norm(sums, axis=1)
             keep = norms > 1e-12
@@ -427,14 +447,6 @@ class Ellipsoid(ConvexBody):
     def dim(self) -> int:
         return len(self.center)
 
-    @cached_property
-    def center_vec(self) -> np.ndarray:
-        return _readonly(self.center)
-
-    @cached_property
-    def axes_vec(self) -> np.ndarray:
-        return _readonly(self.semi_axes)
-
 
 @dataclass(frozen=True)
 class SupportVector:
@@ -502,46 +514,86 @@ class Embedded(ConvexBody):
 # ---------------------------------------------------------------------------
 
 
+def _direction_matrix(U, dim: int) -> np.ndarray:
+    U = np.asarray(U, dtype=float)
+    if U.ndim != 2 or U.shape[1] != dim:
+        raise GeometryError(f"direction matrix of shape {U.shape} does not match body dim {dim}")
+    return U
+
+
+def support_values(body: ConvexBody, U) -> np.ndarray:
+    """Support values h(body, u) for every row u of the (m, d) direction matrix U.
+
+    One closed form per representation.  Rows are taken as given (unit
+    rows give the support function; other rows its positively homogeneous
+    extension), except that embedded bodies answer only on their own grid
+    and raise off it.  Each value depends on its own row alone, so any
+    subset of rows gives the same bits.
+    """
+    U = _direction_matrix(U, body.dim)
+    if isinstance(body, Interval):
+        c = U[:, 0]
+        return np.where(c > 0.0, body.hi * c, body.lo * c)
+    if isinstance(body, Box):
+        # per axis hi*u where u > 0, else lo*u, summed axis by axis from 0.0
+        total = np.zeros(len(U))
+        for c, lo, hi in zip(U.T, body.lo, body.hi):
+            total += np.where(c > 0.0, hi * c, lo * c)
+        return total
+    if isinstance(body, Polytope):
+        # (vertex, direction) inner products summed coordinate by coordinate:
+        # a fixed order, unlike a BLAS product, so a value does not depend
+        # on which other rows are evaluated with it
+        V, UT = np.ascontiguousarray(body.vertices.T), np.ascontiguousarray(U.T)
+        out = np.empty(len(U))
+        for cols in _row_blocks(len(U), V.shape[1]):
+            dots = np.multiply.outer(V[0], UT[0, cols])
+            for c in range(1, len(V)):
+                dots += np.multiply.outer(V[c], UT[c, cols])
+            out[cols] = dots.max(axis=0)
+        return out
+    if isinstance(body, Ellipsoid):
+        center, squares = np.zeros(len(U)), np.zeros(len(U))
+        for u, c, a in zip(U.T, body.center, body.semi_axes):
+            center += c * u
+            squares += (a * u) ** 2
+        return center + np.sqrt(squares)
+    if isinstance(body, Embedded):
+        values, grid = body.support.values, body.grid.matrix
+        if U is grid or (U.shape == grid.shape and np.array_equal(U, grid)):
+            return values.copy()
+        idx, hit = body.grid._nearest(U)
+        if not hit.all():
+            raise GeometryError(
+                "embedded body queried off its grid; support values are not interpolated")
+        return values[idx]
+    raise GeometryError(f"unsupported body type {type(body).__name__}")
+
+
 def support_function(body: ConvexBody, u: Direction) -> float:
     """Largest inner product <u, x> over points x of the body.
 
-    Closed form per representation.  Embedded bodies answer only on their
-    own grid; off-grid queries raise instead of interpolating.
+    The one-row case of :func:`support_values`.  Intervals take the same
+    closed form in scalar arithmetic, which keeps 1-D callers off numpy.
     """
     if u.dim != body.dim:
         raise GeometryError(f"direction dim {u.dim} does not match body dim {body.dim}")
     if isinstance(body, Interval):
         c = u.components[0]
         return body.hi * c if c > 0.0 else body.lo * c
-    if isinstance(body, Box):
-        total = 0.0
-        for c, lo, hi in zip(u.components, body.lo, body.hi):
-            total += hi * c if c > 0.0 else lo * c
-        return total
-    if isinstance(body, Polytope):
-        return float(np.dot(body.vertices, u.vector).max())
-    if isinstance(body, Ellipsoid):
-        radius = math.sqrt(float(np.sum((body.axes_vec * u.vector) ** 2)))
-        return float(np.dot(body.center_vec, u.vector)) + radius
-    if isinstance(body, Embedded):
-        idx = body.grid.index_of(u)
-        if idx is None:
-            raise GeometryError(
-                "embedded body queried off its grid; support values are not interpolated")
-        return float(body.support.values[idx])
-    raise GeometryError(f"unsupported body type {type(body).__name__}")
+    return float(support_values(body, u.vector[None, :])[0])
 
 
 def embed(body: ConvexBody, grid: DirectionGrid) -> SupportVector:
     """Support values of the body on every grid direction."""
     if grid.dim != body.dim:
         raise GeometryError(f"grid dim {grid.dim} does not match body dim {body.dim}")
-    values = np.fromiter(
-        (support_function(body, u) for u in grid), dtype=float, count=len(grid))
-    return SupportVector(grid, values)
+    return SupportVector(grid, support_values(body, grid.matrix))
 
 
+@lru_cache(maxsize=None)
 def _default_grid(dim: int) -> DirectionGrid:
+    """The grid used when none is given; built once per dimension."""
     if dim == 1:
         return make_direction_grid(1, 2, "exact1d")
     if dim == 2:
@@ -666,12 +718,8 @@ def hausdorff_distance(a: ConvexBody, b: ConvexBody,
             raise GeometryError("a direction grid is required for dimension >= 2")
     if grid.dim != a.dim:
         raise GeometryError(f"grid dim {grid.dim} does not match body dim {a.dim}")
-    best = 0.0
-    for u in grid:
-        gap = abs(support_function(a, u) - support_function(b, u))
-        if gap > best:
-            best = gap
-    return best
+    gaps = np.abs(support_values(a, grid.matrix) - support_values(b, grid.matrix))
+    return float(gaps.max())
 
 
 def zero_body(dim: int) -> ConvexBody:

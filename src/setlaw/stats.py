@@ -31,6 +31,7 @@ from .geometry import (
     SupportVector,
     embed,
     support_function,
+    support_values,
     Direction,
 )
 from .sampling import _EXACT_1D, SetSample
@@ -98,37 +99,68 @@ class VarianceSchedule:
         return self.per_index.shape[0]
 
 
-@dataclass(frozen=True)
-class PairDirectionStat:
-    """One tested (index pair, direction) cell of an uncorrelation test."""
-
-    k: int
-    l: int
-    direction: int
-    covariance: float
-    correlation: float
-    rejected: bool
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UncorrelationVerdict:
+    """Outcome of a pairwise uncorrelation test.
+
+    ``pairs`` holds the tested index pairs (k, l), k < l, in row-major
+    order; ``covariance`` and ``correlation`` have one row per pair and
+    one column per grid direction.
+    """
+
     max_abs_corr: float
     threshold: float
-    details: tuple[PairDirectionStat, ...]
+    pairs: np.ndarray
+    covariance: np.ndarray
+    correlation: np.ndarray
     verdict: str  # "consistent" or "rejected"
 
     def __post_init__(self):
+        for name in ("pairs", "covariance", "correlation"):
+            arr = np.asarray(getattr(self, name))
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+        if self.covariance.shape != self.correlation.shape or \
+                self.pairs.shape != (self.correlation.shape[0], 2):
+            raise StatsError("one covariance and correlation row per tested pair required")
         rejected = self.max_abs_corr > self.threshold
         if (self.verdict == "rejected") != rejected:
             raise StatsError("verdict must be 'rejected' exactly when max |corr| > threshold")
 
+    def __eq__(self, other) -> bool:
+        """Equal when every number is equal, arrays compared element by element."""
+        if not isinstance(other, UncorrelationVerdict):
+            return NotImplemented
+        return (self.max_abs_corr, self.threshold, self.verdict) == \
+            (other.max_abs_corr, other.threshold, other.verdict) and all(
+                np.array_equal(getattr(self, name), getattr(other, name))
+                for name in ("pairs", "covariance", "correlation"))
+
+    @property
+    def rejected(self) -> np.ndarray:
+        """Per (pair, direction) flag: |correlation| above the threshold."""
+        return np.abs(self.correlation) > self.threshold
+
 
 def _supports(bodies: Sequence[ConvexBody], u: Direction) -> np.ndarray:
+    """Support values of each body along one direction (one-row support_values)."""
     vals = np.fromiter((support_function(b, u) for b in bodies), dtype=float,
                        count=len(bodies))
     if not np.all(np.isfinite(vals)):
         raise StatsError("support values must be finite for moment estimation")
     return vals
+
+
+def _covariance(centered_x: np.ndarray, centered_y: np.ndarray) -> np.ndarray:
+    """Unbiased covariance of centered samples along axis 0."""
+    return (centered_x * centered_y).sum(axis=0) / (len(centered_x) - 1)
+
+
+def _correlation(cov: np.ndarray, var_x: np.ndarray, var_y: np.ndarray) -> np.ndarray:
+    """cov / sqrt(var_x var_y), clamped to [-1, 1]; 0 where a variance is 0."""
+    denom = np.sqrt(var_x * var_y)
+    ok = (var_x > 0.0) & (var_y > 0.0) & (denom > 0.0)
+    return np.where(ok, np.clip(cov / np.where(ok, denom, 1.0), -1.0, 1.0), 0.0)
 
 
 def empirical_support_covariance(samples_a: Sequence[ConvexBody],
@@ -141,9 +173,7 @@ def empirical_support_covariance(samples_a: Sequence[ConvexBody],
         raise StatsError("covariance needs at least 2 paired draws")
     x = _supports(samples_a, u)
     y = _supports(samples_b, u)
-    xc = x - x.mean()
-    yc = y - y.mean()
-    return float(np.dot(xc, yc) / (len(x) - 1))
+    return float(_covariance(x - x.mean(), y - y.mean()))
 
 
 def _support_tensor(replications: Sequence[SetSample],
@@ -165,23 +195,10 @@ def _support_tensor(replications: Sequence[SetSample],
     tensor = np.empty((len(reps), length, len(grid)))
     for r, rep in enumerate(reps):
         for k, body in enumerate(rep.bodies):
-            for j, u in enumerate(grid):
-                tensor[r, k, j] = support_function(body, u)
+            tensor[r, k] = support_values(body, grid.matrix)
     if not np.all(np.isfinite(tensor)):
         raise StatsError("support values must be finite for moment estimation")
     return tensor, grid
-
-
-def _correlations(centered_x: np.ndarray, centered_y: np.ndarray) -> tuple[float, float]:
-    """(covariance, correlation); zero-variance inputs give correlation 0."""
-    r = len(centered_x)
-    cov = float(np.dot(centered_x, centered_y) / (r - 1))
-    vx = float(np.dot(centered_x, centered_x) / (r - 1))
-    vy = float(np.dot(centered_y, centered_y) / (r - 1))
-    denom = math.sqrt(vx * vy) if vx > 0.0 and vy > 0.0 else 0.0
-    if denom <= 0.0:
-        return cov, 0.0
-    return cov, max(-1.0, min(1.0, cov / denom))
 
 
 def _corr_threshold(significance: float, n_tests: int, replications: int) -> float:
@@ -198,8 +215,7 @@ def support_covariance_matrix(replications: Sequence[SetSample], k: int, l: int,
     """Per-direction covariance of indices (k, l) across replications."""
     tensor, grid = _support_tensor(replications, grid)
     centered = tensor - tensor.mean(axis=0)
-    covs = np.einsum("rj,rj->j", centered[:, k, :], centered[:, l, :]) / (len(tensor) - 1)
-    return SupportCovMatrix(grid, k, l, covs)
+    return SupportCovMatrix(grid, k, l, _covariance(centered[:, k], centered[:, l]))
 
 
 def test_uncorrelated(replications: Sequence[SetSample],
@@ -216,20 +232,17 @@ def test_uncorrelated(replications: Sequence[SetSample],
     n_reps, length, n_dirs = tensor.shape
     if length < 2:
         raise StatsError("uncorrelation needs a sequence of length >= 2")
-    centered = tensor - tensor.mean(axis=0)
-    n_tests = (length * (length - 1) // 2) * n_dirs
-    threshold = _corr_threshold(significance, n_tests, n_reps)
-    details = []
-    max_abs = 0.0
-    for k in range(length):
-        for l in range(k + 1, length):
-            for j in range(n_dirs):
-                cov, corr = _correlations(centered[:, k, j], centered[:, l, j])
-                rejected = abs(corr) > threshold
-                details.append(PairDirectionStat(k, l, j, cov, corr, rejected))
-                max_abs = max(max_abs, abs(corr))
+    tensor -= tensor.mean(axis=0)  # centered in place: the tensor is ours
+    kk, ll = np.triu_indices(length, k=1)
+    threshold = _corr_threshold(significance, len(kk) * n_dirs, n_reps)
+    variances = np.stack([_covariance(tensor[:, k], tensor[:, k]) for k in range(length)])
+    # one pair at a time keeps temporaries at (R, m), not (R, pairs, m)
+    covariance = np.stack([_covariance(tensor[:, k], tensor[:, l]) for k, l in zip(kk, ll)])
+    correlation = _correlation(covariance, variances[kk], variances[ll])
+    max_abs = float(np.abs(correlation).max(initial=0.0))
     verdict = "rejected" if max_abs > threshold else "consistent"
-    return UncorrelationVerdict(max_abs, threshold, tuple(details), verdict)
+    return UncorrelationVerdict(max_abs, threshold, np.column_stack([kk, ll]),
+                                covariance, correlation, verdict)
 
 
 test_uncorrelated.__test__ = False  # a library op, not a pytest case
@@ -253,16 +266,14 @@ def test_interval_endpoint_reduction(replications: Sequence[tuple[Interval, Inte
     support_samples = [SetSample((f, g)) for f, g in reps]
     via_support = test_uncorrelated(support_samples, significance=significance).verdict
 
-    f_lo = np.array([f.lo for f, _ in reps])
-    f_hi = np.array([f.hi for f, _ in reps])
-    g_lo = np.array([g.lo for _, g in reps])
-    g_hi = np.array([g.hi for _, g in reps])
+    # columns (lower, upper): each endpoint of f against the same endpoint of g
+    x = np.array([(f.lo, f.hi) for f, _ in reps])
+    y = np.array([(g.lo, g.hi) for _, g in reps])
+    x -= x.mean(axis=0)
+    y -= y.mean(axis=0)
+    corr = _correlation(_covariance(x, y), _covariance(x, x), _covariance(y, y))
     threshold = _corr_threshold(significance, 2, len(reps))
-    worst = 0.0
-    for x, y in ((f_lo, g_lo), (f_hi, g_hi)):
-        _, corr = _correlations(x - x.mean(), y - y.mean())
-        worst = max(worst, abs(corr))
-    via_endpoints = "rejected" if worst > threshold else "consistent"
+    via_endpoints = "rejected" if float(np.abs(corr).max()) > threshold else "consistent"
     return via_support == via_endpoints
 
 
@@ -342,14 +353,17 @@ def evaluate_variance_condition(schedule: VarianceSchedule, kind: str, *,
 
 
 def write_verdict_csv(verdict: UncorrelationVerdict, path) -> None:
+    threshold = repr(verdict.threshold)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["k", "l", "direction", "covariance", "correlation",
                          "threshold", "flag"])
-        for row in verdict.details:
-            writer.writerow([row.k, row.l, row.direction, repr(row.covariance),
-                             repr(row.correlation), repr(verdict.threshold),
-                             int(row.rejected)])
+        for (k, l), covs, corrs, flags in zip(verdict.pairs.tolist(),
+                                              verdict.covariance.tolist(),
+                                              verdict.correlation.tolist(),
+                                              verdict.rejected.tolist()):
+            writer.writerows([k, l, j, repr(cov), repr(corr), threshold, int(flag)]
+                             for j, (cov, corr, flag) in enumerate(zip(covs, corrs, flags)))
 
 
 def write_schedule_csv(schedule: VarianceSchedule, path) -> None:

@@ -1,0 +1,191 @@
+"""Golden output digests: one small CLI config per command.
+
+Each case runs ``setlaw.cli.main`` in-process and pins the sha256 of every
+file it writes plus what it prints.  A refactor that keeps these digests
+is byte-identical on these configs; a change that moves one must say
+which file moved and why.  Run this file as a script to print the current
+digests in the form of ``GOLDEN``.
+"""
+
+import contextlib
+import hashlib
+import io
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from setlaw.cli import EXIT_OK, main
+
+CONFIGS = {
+    "wlln": """\
+command = wlln
+seed = 42
+family = ellipsoid_interval
+a = 1
+n_grid = 10,50
+epsilon = 0.5
+replications = 150
+""",
+    "slln": """\
+command = slln
+seed = 7
+family = ellipsoid_interval
+a = 1
+block_dim = 8
+max_n = 400
+paths = 6
+""",
+    "sample-box2d": """\
+command = sample
+seed = 3
+family = scaled_iid
+body = box 2 -1.5 -0.25 0.75 2
+grid_scheme = uniform_angles_2d
+grid_count = 16
+length = 7
+""",
+    "test-uncorr-box2d": """\
+command = test-uncorr
+seed = 5
+family = scaled_iid
+body = box 2 -1.5 -0.25 0.75 2
+grid_scheme = uniform_angles_2d
+grid_count = 32
+length = 5
+replications = 60
+""",
+    "hausdorff-1d": """\
+command = hausdorff
+body_a = interval 0 1.123456789
+body_b = interval -0.25 3
+""",
+    "hausdorff-2d": """\
+command = hausdorff
+body_a = polytope 2 3 0 0 1.5 0.25 0.3 1.1
+body_b = ellipsoid 2 0.2 -0.1 0.7 1.3
+grid_scheme = uniform_angles_2d
+grid_count = 64
+""",
+    "check-cond": """\
+command = check-cond
+family = ellipsoid_interval
+a = 1,2
+kind = slln_log2
+length = 200
+""",
+}
+
+# (config, --threads): wlln and slln run at 1 and 2 workers, which must agree
+CASES = [("wlln", 1), ("wlln", 2), ("slln", 1), ("slln", 2), ("sample-box2d", 1),
+         ("test-uncorr-box2d", 1), ("hausdorff-1d", 1), ("hausdorff-2d", 1),
+         ("check-cond", 1)]
+
+GOLDEN = {
+    'wlln': {
+        'manifest.txt':
+            '2e56779e170654de7b0e5dfdf27a57f5a893dadcde0eb4702f77b82e6d408e0e',
+        'plot_bound.csv':
+            '7c443d5d31fc86a2a5728a2ebe5aa95cf15ac808da9f103913dd277357744270',
+        'plot_exceedance.csv':
+            '7f2e6bff66d26073f10d62cda9668551e97eeeabba2ef38e9057e4d01822de81',
+        'plot_mean_d_h.csv':
+            'ba8d9b1ade0d43db5b5b89073574d6d3eac1a79d722779b2ab2c1877901ca17f',
+        'wlln_detail.csv':
+            'fc6e75fdc0d446586171d1e4562e64d7d51526baf2e620464c21d8265e9cbe8c',
+        'wlln_summary.csv':
+            '4f88e2f3bc7bcaccdf745ab8134463640ce3b712c9f11401c9e6ece51c2d3554',
+        '<stdout>':
+            '8bc250ce32932fc6bbbc376ff9cc67b79a17ffbed1d142a2aab186ae6bc1d59b',
+    },
+    'slln': {
+        'manifest.txt':
+            'bd902bb2fc7bd60517cf2ea22ef43eec1f9937a10053451967e6234dd6a9c0e6',
+        'plot_interblock_mean.csv':
+            '018dbcee8c761a04cc264440c77feca509cb5efe7cf519fa60cf115971a2e3a8',
+        'plot_mean_s_n_over_n.csv':
+            'a09cc4ce863d8a68de5a8f66a569de4587bf8cea301598920111c4c5f434ad86',
+        'plot_square_mean.csv':
+            'a09cc4ce863d8a68de5a8f66a569de4587bf8cea301598920111c4c5f434ad86',
+        'slln_detail.csv':
+            '7715c7d8ac01bcf8fbf0dcb0493c0a6844d1c6a2ba6a699af2fda4a3f4f47eef',
+        'slln_summary.csv':
+            'fa8633b642ddd9d99a981a228b2d7ccb1d2fd74194d40e572449479a7b6225ec',
+        '<stdout>':
+            'cee4f4b0171c7ae1b75f7d863af9f35874f46e1d168fe45ea2fd2b172bf86d59',
+    },
+    'sample-box2d': {
+        'manifest.txt':
+            '0f120ee686da4fac6b909a174323babc183d46c849cdbbe59d0a3a301449b1fe',
+        'sample.txt':
+            'dc144ec1bb63d1a79ebd5cb959cfc44addcd08ec696079739ab31572ec303046',
+        '<stdout>':
+            'f8764eb4a390b0882fa34cea91da72eef0384b60dd8bdbb438a7d2133c4a5c44',
+    },
+    'test-uncorr-box2d': {
+        'manifest.txt':
+            '73c51fb012df93fcaa4ad79ce92bc5e7f982bcc4cf20659de68f8018cf23ac9c',
+        'uncorrelation.csv':
+            'a8aec77c7438848512650a59945883eb5588ad67d5773116fe031499af69e8f4',
+        '<stdout>':
+            'd78ac286f98915ffe44ddf4b4281143fa2f757007f1eedf4bfa05d853fea8b18',
+    },
+    'hausdorff-1d': {
+        'manifest.txt':
+            'd6da7b1e8e79369501562170f732cb0cc74ce28826c644241fb0d883d4db868a',
+        '<stdout>':
+            '154b862e09f1972f4d9b2d17dbd67b1796b486a3394501ac4129242555dfb0ce',
+    },
+    'hausdorff-2d': {
+        'manifest.txt':
+            '1ae345776df4fad54644bb04ffdbcc2136eea66f572e36f5b9eb779fe49dbb9b',
+        '<stdout>':
+            '5a8d25ddabdfc584ae9574a8c46f7fe30d80486329fe1d26d2fab5a7faf00de4',
+    },
+    'check-cond': {
+        'condition.csv':
+            '275f92e57d3ff488ae9febeb24721a4fe833b57ace6f8a50623aa3d568cff858',
+        'manifest.txt':
+            '274b1a3981eddbe3ea5828e59d78f13e0202f2554175b1f1bfa6ff5e79bc2212',
+        '<stdout>':
+            '66082032b585cc21d4e3da4365d0055f1579287505ba5487a8d13ac6c3b06b85',
+    },
+}
+
+
+def _digests(name: str, threads: int, work: Path) -> dict[str, str]:
+    cfg = work / f"{name}.cfg"
+    cfg.write_text(CONFIGS[name], encoding="utf-8")
+    out = work / f"{name}-t{threads}"
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        rc = main(["--config", str(cfg), "--out", str(out), "--threads", str(threads)])
+    assert rc == EXIT_OK
+    found = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+             for p in sorted(out.iterdir())}
+    # the sample command prints its output path; keep only what does not vary
+    printed = buf.getvalue().replace(str(out), "<out>")
+    found["<stdout>"] = hashlib.sha256(printed.encode("utf-8")).hexdigest()
+    return found
+
+
+@pytest.mark.parametrize("name,threads", CASES)
+def test_golden_digests(name, threads, tmp_path):
+    assert _digests(name, threads, tmp_path) == GOLDEN[name]
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        table = {}
+        for name, threads in CASES:
+            got = _digests(name, threads, Path(tmp))
+            if table.setdefault(name, got) != got:
+                sys.exit(f"{name}: digests differ between thread counts")
+    print("GOLDEN = {")
+    for name, files in table.items():
+        print(f"    {name!r}: {{")
+        for fname, digest in files.items():
+            print(f"        {fname!r}:\n            {digest!r},")
+        print("    },")
+    print("}")

@@ -1,4 +1,5 @@
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from setlaw import (
     Box,
     Direction,
+    Ellipsoid,
     EllipsoidFamilySpec,
     EllipsoidIntervalFamily,
     Interval,
@@ -14,6 +16,7 @@ from setlaw import (
     SeedSpec,
     SetSample,
     StatsError,
+    UncorrelationVerdict,
     VarianceSchedule,
     aumann_mean_estimate,
     embed,
@@ -25,6 +28,7 @@ from setlaw import (
     sample_ellipse_pair,
     scalar_mul,
     support_covariance_matrix,
+    support_function,
     test_interval_endpoint_reduction,
     test_uncorrelated,
 )
@@ -322,3 +326,145 @@ def test_schedule_csv_round_trip_shape(tmp_path):
     assert lines[0] == "index,direction,variance"
     assert len(lines) == 1 + 2 * 2
     assert lines[1] == "0,0,0.5"
+
+
+# -- array-based support tensor and uncorrelation test ----------------------------
+
+def _scalar_support(body, u):
+    """Pre-vectorization scalar closed forms of intervals and boxes."""
+    if isinstance(body, Interval):
+        c = u.components[0]
+        return body.hi * c if c > 0.0 else body.lo * c
+    total = 0.0
+    for c, lo, hi in zip(u.components, body.lo, body.hi):
+        total += hi * c if c > 0.0 else lo * c
+    return total
+
+
+def _reference_tensor(reps, grid, support):
+    return np.array([[[support(body, u) for u in grid] for body in rep.bodies]
+                     for rep in reps])
+
+
+def test_support_tensor_matches_scalar_triple_loop():
+    from setlaw.stats import _support_tensor
+    grid = make_direction_grid(2, 24, "uniform_angles_2d")
+    box = ScaledTemplateFamily(Box((-1.5, -0.25), (0.75, 2.0)), direction_grid=grid)
+    reps = _replications(box, 6, 9, 60)
+    tensor, used = _support_tensor(reps, grid)
+    assert used is grid
+    assert tensor.tobytes() == _reference_tensor(reps, grid, _scalar_support).tobytes()
+
+    # zero bounds give -0.0 terms; the scalar sum starting at 0.0 makes them +0.0
+    zeros = [SetSample((Box((0.0, 0.0), (1.0, 2.0)), Box((0.0, -1.0), (0.0, 0.0))))] * 3
+    tensor, _ = _support_tensor(zeros, grid)
+    assert tensor.tobytes() == _reference_tensor(zeros, grid, _scalar_support).tobytes()
+
+    intervals = _replications(EllipsoidIntervalFamily((1.0, 2.0), block_dim=3), 3, 8, 61)
+    tensor, _ = _support_tensor(intervals, None)
+    assert tensor.tobytes() == _reference_tensor(intervals, EXACT_1D,
+                                                 _scalar_support).tobytes()
+
+    rng = np.random.default_rng(62)
+    mixed = [SetSample((Polytope(rng.uniform(-1, 1, (4, 2))),
+                        Box((0.0, 0.0), tuple(rng.uniform(0, 1, 2))),
+                        Ellipsoid(tuple(rng.uniform(-1, 1, 2)), (0.5, 1.5))))
+             for _ in range(5)]
+    tensor, _ = _support_tensor(mixed, grid)
+    assert tensor.tobytes() == _reference_tensor(mixed, grid, support_function).tobytes()
+
+
+def _reference_cells(tensor, significance):
+    """Per-cell loop: centered dot products, zero variance -> 0, clamp to [-1, 1]."""
+    n_reps, length, n_dirs = tensor.shape
+    centered = tensor - tensor.mean(axis=0)
+    n_tests = (length * (length - 1) // 2) * n_dirs
+    z = NormalDist().inv_cdf(1.0 - significance / max(n_tests, 1) / 2.0)
+    threshold = z / math.sqrt(n_reps)
+    cells = []
+    for k in range(length):
+        for l in range(k + 1, length):
+            for j in range(n_dirs):
+                x, y = centered[:, k, j], centered[:, l, j]
+                cov = float(np.dot(x, y) / (n_reps - 1))
+                vx = float(np.dot(x, x) / (n_reps - 1))
+                vy = float(np.dot(y, y) / (n_reps - 1))
+                denom = math.sqrt(vx * vy) if vx > 0.0 and vy > 0.0 else 0.0
+                corr = 0.0 if denom <= 0.0 else max(-1.0, min(1.0, cov / denom))
+                cells.append((k, l, j, cov, corr, math.sqrt(vx * vy)))
+    return threshold, cells
+
+
+@pytest.mark.parametrize("case", ["box2d", "ar1", "ellipsoid"])
+def test_uncorrelated_matches_per_cell_reference(case):
+    from setlaw.stats import _support_tensor
+    grid = make_direction_grid(2, 16, "uniform_angles_2d")
+    if case == "box2d":
+        fam = ScaledTemplateFamily(Box((-1.0, -0.5), (2.0, 1.0)), direction_grid=grid)
+        reps, use_grid = _replications(fam, 6, 80, 63), grid
+    elif case == "ar1":
+        fam = ScaledTemplateFamily(Interval(0, 1), "ar1", rho=0.9)
+        reps, use_grid = _replications(fam, 5, 300, 64), None
+    else:
+        fam = EllipsoidIntervalFamily((1.0,), block_dim=4)
+        reps, use_grid = _replications(fam, 4, 200, 65), None
+    verdict = test_uncorrelated(reps, use_grid, significance=0.05)
+    threshold, cells = _reference_cells(_support_tensor(reps, use_grid)[0], 0.05)
+    assert verdict.threshold == threshold
+    n_dirs = verdict.covariance.shape[1]
+    assert len(cells) == verdict.covariance.size
+    for p, (k, l, j, cov, corr, scale) in enumerate(cells):
+        assert tuple(verdict.pairs[p // n_dirs]) == (k, l) and p % n_dirs == j
+        got_cov = verdict.covariance.flat[p]
+        got_corr = verdict.correlation.flat[p]
+        assert abs(got_cov - cov) <= 1e-12 * max(abs(cov), scale)
+        assert abs(got_corr - corr) <= 1e-12
+        assert verdict.rejected.flat[p] == (abs(corr) > threshold)
+    max_abs = max(abs(c[4]) for c in cells)
+    assert verdict.max_abs_corr == pytest.approx(max_abs, abs=1e-12)
+    assert verdict.verdict == ("rejected" if max_abs > threshold else "consistent")
+
+
+def test_uncorrelated_zero_variance_and_perfect_correlation():
+    xi = SeedSpec(66).generator().random(40)
+    # f = {x} and g = {-2x}: every support pair is exactly anti-proportional;
+    # h = [0, 1] is constant, so its cells have zero variance
+    samples = [SetSample((Interval(x, x), Interval(-2 * x, -2 * x), Interval(0, 1)))
+               for x in xi]
+    verdict = test_uncorrelated(samples)
+    assert [tuple(p) for p in verdict.pairs] == [(0, 1), (0, 2), (1, 2)]
+    assert np.array_equal(verdict.correlation[0], [-1.0, -1.0])
+    assert np.array_equal(verdict.correlation[1:], np.zeros((2, 2)))
+    assert np.array_equal(verdict.covariance[1:], np.zeros((2, 2)))
+    assert verdict.max_abs_corr == 1.0 and verdict.verdict == "rejected"
+    assert verdict.rejected.tolist() == [[True, True], [False, False], [False, False]]
+
+
+def test_verdict_csv_rows_follow_the_arrays(tmp_path):
+    from setlaw.stats import write_verdict_csv
+    fam = ScaledTemplateFamily(Interval(0, 1), "ar1", rho=0.5)
+    verdict = test_uncorrelated(_replications(fam, 3, 50, 67))
+    path = tmp_path / "uncorrelation.csv"
+    write_verdict_csv(verdict, path)
+    lines = path.read_text().splitlines()
+    assert lines[0] == "k,l,direction,covariance,correlation,threshold,flag"
+    assert len(lines) == 1 + verdict.correlation.size
+    # after the header, pair (0, 1) fills two rows; pair (0, 2) starts on line 3
+    k, l, j, cov, corr, thr, flag = lines[3].split(",")
+    assert (k, l, j) == ("0", "2", "0")
+    assert float(cov) == verdict.covariance[1, 0]
+    assert float(corr) == verdict.correlation[1, 0]
+    assert float(thr) == verdict.threshold
+    assert flag == str(int(verdict.rejected[1, 0]))
+
+
+def test_verdicts_compare_by_value():
+    fam = ScaledTemplateFamily(Interval(0, 1), "ar1", rho=0.5)
+    reps = _replications(fam, 3, 50, 68)
+    verdict = test_uncorrelated(reps)
+    assert verdict == test_uncorrelated(reps)
+    changed = verdict.correlation.copy()
+    changed[0, 0] = 0.5 * changed[0, 0] + 0.25
+    assert verdict != UncorrelationVerdict(verdict.max_abs_corr, verdict.threshold,
+                                           verdict.pairs, verdict.covariance, changed,
+                                           verdict.verdict)
