@@ -238,46 +238,58 @@ def compare_bound(report: ConvergenceReport, replications: int | None = None) ->
 # -- strong law --------------------------------------------------------------
 
 
-def _windowed_medians(values: np.ndarray, window: int) -> np.ndarray:
-    if len(values) < window:
-        return np.array([float(np.median(values))])
-    return np.array([float(np.median(values[i:i + window]))
-                     for i in range(len(values) - window + 1)])
-
-
-def _eventually_decreasing(values: np.ndarray, window: int) -> bool:
-    """Decay certificate for a noisy nonnegative sequence.
+def _eventually_decreasing(s_over: np.ndarray, window: int) -> np.ndarray:
+    """Decay certificate for each row of noisy nonnegative sequences.
 
     The raw ratio fluctuates and dips toward zero mid-path, so requiring a
     pathwise-monotone tail would reject genuinely converging paths; instead
     the windowed median must end at no more than half its starting level.
+    A series shorter than the window has one median (both slices take it
+    all), compared with itself.
     """
-    meds = _windowed_medians(values, window)
-    return bool(meds[-1] <= 0.5 * meds[0] + 1e-15)
+    first = np.median(s_over[:, :window], axis=1)
+    last = np.median(s_over[:, -window:], axis=1)
+    return last <= 0.5 * first + 1e-15
+
+
+def _interblock_maxima(s: np.ndarray, sq: np.ndarray) -> np.ndarray:
+    """max |s_k - s_{m^2}| / m^2 over m^2 < k < (m+1)^2, k <= max_n, per row.
+
+    ``s[:, k-1]`` is the cumulative gap at length k and ``sq`` holds every
+    square m^2 <= max_n.  Each length is differenced against s at the last
+    square at or below it, and one ``maximum.reduceat`` over starts
+    alternating m^2, (m+1)^2 - 1 leaves each window's maximum in its even
+    columns; an empty window stays NaN.
+    """
+    max_n = s.shape[1]
+    ends = np.append(sq[1:] - 1, max_n)  # window j is columns sq[j] .. ends[j] - 1
+    diff = np.repeat(s[:, sq - 1], ends - sq + 1, axis=1)
+    np.abs(np.subtract(s, diff, out=diff), out=diff)
+    full = ends > sq  # only the last window can be empty
+    starts = np.stack([sq[full], ends[full]], axis=1).ravel()
+    windows = np.maximum.reduceat(diff, starts[starts < max_n], axis=1)
+    out = np.full((s.shape[0], len(sq)), np.nan)
+    out[:, full] = windows[:, ::2] / sq[full]
+    return out
 
 
 def _slln_chunk(args):
     family, max_n, master_seed, lo, hi, checkpoints, squares, threshold, window = args
     cps = np.asarray(checkpoints)
-    target = family.mean_supports(max_n)
-    s_over = np.empty((hi - lo, len(cps)))
-    square_vals = np.empty((hi - lo, len(squares)))
-    interblock = np.full((hi - lo, len(squares)), np.nan)
-    passed = np.empty(hi - lo, dtype=bool)
+    target = np.ascontiguousarray(family.mean_supports(max_n).T)
+    gap = np.empty_like(target)  # direction-major, so cumsum and max run along rows
+    s = np.empty((hi - lo, max_n))  # s[i, k-1] is path i's cumulative gap at length k
     for i, p in enumerate(range(lo, hi)):
         rng = SeedSpec(master_seed, p).generator()
-        supports = family.support_draws(max_n, rng)
-        gap = np.cumsum(supports - target, axis=0)
-        s = np.abs(gap).max(axis=1)  # s[k-1] is the cumulative gap at length k
-        s_over[i] = s[cps - 1] / cps
-        for mi, m in enumerate(squares):
-            sq = m * m
-            square_vals[i, mi] = s[sq - 1] / sq
-            k_hi = min((m + 1) ** 2 - 1, max_n)
-            if k_hi > sq:
-                interblock[i, mi] = float(np.abs(s[sq:k_hi] - s[sq - 1]).max()) / sq
-        passed[i] = s_over[i, -1] < threshold and _eventually_decreasing(s_over[i], window)
-    return s_over, square_vals, interblock, passed
+        np.subtract(family.support_draws(max_n, rng).T, target, out=gap)
+        np.cumsum(gap, axis=1, out=gap)
+        np.abs(gap, out=gap).max(axis=0, out=s[i])
+    # np.take keeps the columns row-major, as s[:, idx] would not: the
+    # report's column means are summed in memory order, so layout shows in bits
+    s_over = np.take(s, cps - 1, axis=1) / cps
+    sq = np.asarray(squares) ** 2
+    passed = (s_over[:, -1] < threshold) & _eventually_decreasing(s_over, window)
+    return s_over, np.take(s, sq - 1, axis=1) / sq, _interblock_maxima(s, sq), passed
 
 
 def run_slln(config: SllnConfig, threads: int = 1) -> ConvergenceReport:
@@ -348,15 +360,15 @@ def write_wlln_detail_csv(report: ConvergenceReport, path) -> None:
     if report.kind != "wlln":
         raise HarnessError("detail format n,replication,... is for weak-law reports")
     bounds = {row.n: row.bound for row in report.rows}
+    eps = report.epsilon
+    etxt = repr(eps)
+    # the rows csv.writer would write (no field needs quoting), built directly
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "replication", "d_h", "epsilon", "exceeded", "bound"])
+        fh.write("n,replication,d_h,epsilon,exceeded,bound\r\n")
         for n in sorted(report.detail):
-            bound = bounds[n]
-            btxt = repr(bound) if bound is not None else ""
-            for r, d in enumerate(report.detail[n]):
-                writer.writerow([n, r, repr(float(d)), repr(report.epsilon),
-                                 int(d > report.epsilon), btxt])
+            btxt = repr(bounds[n]) if bounds[n] is not None else ""
+            fh.writelines(f"{n},{r},{d!r},{etxt},{int(d > eps)},{btxt}\r\n"
+                          for r, d in enumerate(report.detail[n].tolist()))
 
 
 def write_wlln_summary_csv(report: ConvergenceReport, path) -> None:
@@ -374,21 +386,18 @@ def write_slln_detail_csv(report: ConvergenceReport, path) -> None:
     if report.kind != "slln":
         raise HarnessError("detail format path,n,... is for strong-law reports")
     d = report.detail
-    square_col = {int(m) ** 2: j for j, m in enumerate(d["squares"])}
+    square_col = {m * m: j for j, m in enumerate(d["squares"].tolist())}
+    cps = d["checkpoints"].tolist()
+    # -1 points at the empty interblock field every non-square checkpoint gets
+    cols = [square_col.get(n, -1) for n in cps]
+    flags = [int(n in square_col) for n in cps]
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["path", "n", "s_n_over_n", "is_square_checkpoint",
-                         "interblock_max"])
-        for p in range(d["s_over_n"].shape[0]):
-            for j, n in enumerate(d["checkpoints"]):
-                n = int(n)
-                is_sq = n in square_col
-                ib = ""
-                if is_sq:
-                    v = d["interblock_max"][p, square_col[n]]
-                    ib = repr(float(v)) if np.isfinite(v) else ""
-                writer.writerow([p, n, repr(float(d["s_over_n"][p, j])),
-                                 int(is_sq), ib])
+        fh.write("path,n,s_n_over_n,is_square_checkpoint,interblock_max\r\n")
+        # row by row: the whole array as Python floats would add about 7 MB
+        for p, (s_row, ib_row) in enumerate(zip(d["s_over_n"], d["interblock_max"])):
+            ib = [repr(v) if math.isfinite(v) else "" for v in ib_row.tolist()] + [""]
+            fh.writelines(f"{p},{n},{s!r},{flag},{ib[j]}\r\n"
+                          for n, s, flag, j in zip(cps, s_row.tolist(), flags, cols))
 
 
 def write_slln_summary_csv(report: ConvergenceReport, path) -> None:

@@ -240,12 +240,13 @@ def _scalar_process(process: str, count: int, rng: np.random.Generator,
     if process == "ar1":
         if rho is None or not abs(rho) < 1.0:
             raise FamilyError("process 'ar1' needs |rho| < 1")
-        u = rng.random(count)
-        c = np.empty(count)
-        c[0] = u[0]
-        for k in range(1, count):
-            c[k] = rho * c[k - 1] + (1.0 - rho) * u[k]
-        return c
+        # on Python floats: indexing numpy scalars costs about 3x as much
+        u = rng.random(count).tolist()
+        keep = 1.0 - rho
+        c = u[:1]
+        for x in u[1:]:
+            c.append(rho * c[-1] + keep * x)
+        return np.array(c)
     raise FamilyError(f"unknown scalar process {process!r}; choose one of {_PROCESSES}")
 
 
@@ -495,12 +496,11 @@ class ScaledTemplateFamily:
         if self.process == "iid_uniform":
             base = np.full(n, 1.0 / 12.0)
         else:
-            base = np.empty(n)
-            v = 1.0 / 12.0
-            base[0] = v
-            for k in range(1, n):
-                v = self.rho ** 2 * v + (1.0 - self.rho) ** 2 / 12.0
-                base[k] = v
+            a, b = self.rho ** 2, (1.0 - self.rho) ** 2 / 12.0
+            base = [1.0 / 12.0]
+            for _ in range(1, n):
+                base.append(a * base[-1] + b)
+            base = np.array(base)
         return base * self._growth_factors(n) ** 2
 
     def support_draws(self, n: int, rng: np.random.Generator) -> np.ndarray:

@@ -1,3 +1,4 @@
+import csv
 import math
 import os
 
@@ -280,3 +281,124 @@ def test_pool_size_is_clamped_to_chunks_and_cpus(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert harness._map_chunks(abs, [-1, -2], 64) == [1, 2]
     assert requested == [3, 4]
+
+
+# -- strong-law chunk against the pre-vectorization loop -----------------------
+
+def _reference_windowed_medians(values, window):
+    if len(values) < window:
+        return np.array([float(np.median(values))])
+    return np.array([float(np.median(values[i:i + window]))
+                     for i in range(len(values) - window + 1)])
+
+
+def _reference_eventually_decreasing(values, window):
+    meds = _reference_windowed_medians(values, window)
+    return bool(meds[-1] <= 0.5 * meds[0] + 1e-15)
+
+
+def _reference_slln_chunk(args):
+    """``harness._slln_chunk`` as it was written before it worked on arrays:
+    every windowed median, and one Python step per square."""
+    family, max_n, master_seed, lo, hi, checkpoints, squares, threshold, window = args
+    cps = np.asarray(checkpoints)
+    target = family.mean_supports(max_n)
+    s_over = np.empty((hi - lo, len(cps)))
+    square_vals = np.empty((hi - lo, len(squares)))
+    interblock = np.full((hi - lo, len(squares)), np.nan)
+    passed = np.empty(hi - lo, dtype=bool)
+    for i, p in enumerate(range(lo, hi)):
+        rng = SeedSpec(master_seed, p).generator()
+        supports = family.support_draws(max_n, rng)
+        gap = np.cumsum(supports - target, axis=0)
+        s = np.abs(gap).max(axis=1)  # s[k-1] is the cumulative gap at length k
+        s_over[i] = s[cps - 1] / cps
+        for mi, m in enumerate(squares):
+            sq = m * m
+            square_vals[i, mi] = s[sq - 1] / sq
+            k_hi = min((m + 1) ** 2 - 1, max_n)
+            if k_hi > sq:
+                interblock[i, mi] = float(np.abs(s[sq:k_hi] - s[sq - 1]).max()) / sq
+        passed[i] = s_over[i, -1] < threshold and _reference_eventually_decreasing(
+            s_over[i], window)
+    return s_over, square_vals, interblock, passed
+
+
+def _chunk_args(family, max_n, window, checkpoints=None, threshold=0.05):
+    squares = tuple(range(1, math.isqrt(max_n) + 1))
+    if checkpoints is None:
+        checkpoints = SllnConfig(family, max_n, 1, SEED).checkpoints
+    return (family, max_n, 31, 3, 7, tuple(checkpoints), squares, threshold, window)
+
+
+def _assert_same_chunk(args):
+    new, old = harness._slln_chunk(args), _reference_slln_chunk(args)
+    for a, b in zip(new, old):  # s_over, square values, interblock (NaN included), pass
+        # strides too: reductions over a column-major copy round differently
+        assert a.dtype == b.dtype and a.shape == b.shape and a.strides == b.strides
+        assert a.tobytes() == b.tobytes()
+
+
+def _box_family_256():
+    from setlaw import Box, make_direction_grid
+    grid = make_direction_grid(2, 256, "uniform_angles_2d")
+    return ScaledTemplateFamily(Box((-0.5, 0.0), (1.0, 2.0)), "iid_uniform",
+                                direction_grid=grid)
+
+
+@pytest.mark.parametrize("family", [
+    EllipsoidIntervalFamily((1.0, 2.0), block_dim=16),
+    DeterministicFamily(Interval(0, 2)),
+    _box_family_256(),
+], ids=["ellipsoid-interval", "deterministic", "box2d-256"])
+@pytest.mark.parametrize("max_n", [4, 5, 10, 99, 400, 2500])
+def test_slln_chunk_matches_reference_loop(family, max_n):
+    n_checkpoints = len(SllnConfig(family, max_n, 1, SEED).checkpoints)
+    for window in (1, 4, 5, n_checkpoints + 3):
+        # a high threshold lets the median certificate decide path_pass
+        for threshold in (0.05, 10.0):
+            _assert_same_chunk(_chunk_args(family, max_n, window, threshold=threshold))
+
+
+@pytest.mark.parametrize("family", [
+    EllipsoidIntervalFamily((1.0,), block_dim=4),
+    _box_family_256(),
+], ids=["ellipsoid-interval", "box2d-256"])
+def test_slln_chunk_matches_reference_loop_on_explicit_checkpoints(family):
+    cps = (1, 2, 3, 4, 7, 9, 16, 20, 25, 33, 36, 49, 50)
+    for window in (1, 4, 5, 30):
+        _assert_same_chunk(_chunk_args(family, 50, window, cps, threshold=10.0))
+
+
+def test_slln_chunk_passes_and_fails_paths_like_the_reference():
+    # both verdicts occur here, and each half of the pass rule fails a path:
+    # the second path passes on its medians but ends above the threshold,
+    # the last one ends below it but fails on its medians
+    fam = EllipsoidIntervalFamily((1.0,), block_dim=4)
+    strict = _chunk_args(fam, 100, 5, threshold=0.03)
+    s_over, _, _, passed = harness._slln_chunk(strict)
+    on_medians = harness._slln_chunk(_chunk_args(fam, 100, 5, threshold=10.0))[3]
+    assert passed.tolist() == [False, False, True, False]
+    assert on_medians.tolist() == [False, True, True, False]
+    assert s_over[1, -1] > 0.03 and s_over[3, -1] < 0.03
+    _assert_same_chunk(strict)
+
+
+def test_slln_detail_csv_rows_are_what_csv_writer_writes(tmp_path):
+    nan, inf = float("nan"), float("inf")
+    s_over = np.array([[0.5, nan, 0.25, 1e-300], [inf, 2.0, -0.0, 3.0]])
+    interblock = np.array([[0.125, inf], [nan, 1.5]])
+    report = ConvergenceReport("slln", (), 2, detail={
+        "checkpoints": np.array([1, 3, 4, 5]), "s_over_n": s_over,
+        "squares": np.array([1, 2]), "interblock_max": interblock})
+    harness.write_slln_detail_csv(report, tmp_path / "got.csv")
+    with open(tmp_path / "want.csv", "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["path", "n", "s_n_over_n", "is_square_checkpoint",
+                         "interblock_max"])
+        for p in range(2):
+            for j, n in enumerate((1, 3, 4, 5)):
+                ib = {1: interblock[p, 0], 4: interblock[p, 1]}.get(n)
+                ib = repr(float(ib)) if ib is not None and np.isfinite(ib) else ""
+                writer.writerow([p, n, repr(float(s_over[p, j])), int(n in (1, 4)), ib])
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()

@@ -9,6 +9,7 @@ from setlaw import (
     EllipsoidIntervalFamily,
     FamilyError,
     Interval,
+    ScaledTemplateFamily,
     SeedSpec,
     SetSample,
     interval_family_variances,
@@ -23,6 +24,7 @@ from setlaw import (
     Direction,
 )
 from setlaw.harness import _STREAM_SHIFT, _wlln_chunk
+from setlaw.sampling import _scalar_process
 
 UP = Direction((1.0,))
 
@@ -316,3 +318,52 @@ def test_filled_cache_keeps_family_equality_hash_and_pickle():
     assert len(pickle.dumps(a)) == size
     again = pickle.loads(pickle.dumps(a))
     assert again == a and hash(again) == hash(a)
+
+
+# -- AR(1) recursions against the element-wise loop -----------------------------
+
+def _reference_ar1(count, rng, rho):
+    u = rng.random(count)
+    c = np.empty(count)
+    c[0] = u[0]
+    for k in range(1, count):
+        c[k] = rho * c[k - 1] + (1.0 - rho) * u[k]
+    return c
+
+
+def _reference_ar1_variances(rho, n):
+    base = np.empty(n)
+    v = 1.0 / 12.0
+    base[0] = v
+    for k in range(1, n):
+        v = rho ** 2 * v + (1.0 - rho) ** 2 / 12.0
+        base[k] = v
+    return base
+
+
+class _Ar1Stand:
+    """The attributes ``_scale_variances`` reads, without the family's
+    0 <= rho check, so the recursion is also compared at rho < 0."""
+
+    process = "ar1"
+
+    def __init__(self, rho):
+        self.rho = rho
+
+    def _growth_factors(self, n):
+        return np.ones(n)
+
+
+@pytest.mark.parametrize("rho", [0.9, -0.3, 0.0])
+@pytest.mark.parametrize("count", [1, 2, 1000])
+def test_ar1_recursions_equal_elementwise_loop(rho, count):
+    got = _scalar_process("ar1", count, SeedSpec(13, count).generator(), rho, None)
+    want = _reference_ar1(count, SeedSpec(13, count).generator(), rho)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    variances = ScaledTemplateFamily._scale_variances(_Ar1Stand(rho), count)
+    assert variances.tobytes() == _reference_ar1_variances(rho, count).tobytes()
+    if rho >= 0.0:
+        fam = ScaledTemplateFamily(Interval(0, 4), "ar1", rho=rho, growth=0.5)
+        growth = np.arange(1, count + 1) ** 0.5
+        want_var = _reference_ar1_variances(rho, count) * growth ** 2
+        assert fam._scale_variances(count).tobytes() == want_var.tobytes()
