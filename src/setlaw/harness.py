@@ -26,13 +26,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .sampling import SeedSpec
+from .sampling import SeedSpec, StreamCursor
 from .stats import VarianceSchedule, evaluate_variance_condition
 
 _STREAM_SHIFT = 20          # replication r at length n uses stream (n << 20) | r
 _MAX_REPLICATIONS = 1 << _STREAM_SHIFT
 _WLLN_CHUNK = 256
 _SLLN_CHUNK = 8
+_BLOCK_VALUES = 1 << 15     # support values per weak-law block, at any n and grid
 
 
 class HarnessError(ValueError):
@@ -154,11 +155,17 @@ def _map_chunks(func, args_list, threads: int):
 
 def _wlln_chunk(args) -> np.ndarray:
     family, n, master_seed, lo, hi, target = args
+    cursor = StreamCursor(master_seed)
+    size = max(1, _BLOCK_VALUES // (n * len(target)))
     out = np.empty(hi - lo)
-    for i, r in enumerate(range(lo, hi)):
-        rng = SeedSpec(master_seed, (n << _STREAM_SHIFT) | r).generator()
-        supports = family.support_draws(n, rng)
-        out[i] = float(np.abs(supports.mean(axis=0) - target).max())
+    for start in range(lo, hi, size):
+        stop = min(start + size, hi)
+        block = family.support_block(
+            n, lambda i: cursor.at((n << _STREAM_SHIFT) | (start + i)), stop - start)
+        # sums over n in order, like one replication's (n, m).mean(axis=0);
+        # a contiguous 1-D mean would sum pairwise and round differently
+        means = np.add.reduce(block, axis=0) / n
+        np.abs(means - target).max(axis=1, out=out[start - lo:stop - lo])
     return out
 
 
@@ -279,9 +286,9 @@ def _slln_chunk(args):
     target = np.ascontiguousarray(family.mean_supports(max_n).T)
     gap = np.empty_like(target)  # direction-major, so cumsum and max run along rows
     s = np.empty((hi - lo, max_n))  # s[i, k-1] is path i's cumulative gap at length k
+    cursor = StreamCursor(master_seed)
     for i, p in enumerate(range(lo, hi)):
-        rng = SeedSpec(master_seed, p).generator()
-        np.subtract(family.support_draws(max_n, rng).T, target, out=gap)
+        np.subtract(family.support_draws(max_n, cursor.at(p)).T, target, out=gap)
         np.cumsum(gap, axis=1, out=gap)
         np.abs(gap, out=gap).max(axis=0, out=s[i])
     # np.take keeps the columns row-major, as s[:, idx] would not: the

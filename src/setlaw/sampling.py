@@ -10,7 +10,9 @@ and negative controls.
 
 Streams are addressed by (master_seed, stream_index) through a
 counter-based Philox generator, so any replication can be regenerated in
-isolation and results cannot depend on worker count.
+isolation and results cannot depend on worker count.  Families draw
+blocks of replications: each row takes its raw numbers from its own
+stream, and the transform to supports runs once for the whole block.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import Callable
 
 import numpy as np
 
@@ -63,6 +66,50 @@ class SeedSpec:
     def stream(self, index: int) -> "SeedSpec":
         """Sibling stream under the same master seed."""
         return SeedSpec(self.master_seed, index)
+
+
+class StreamCursor:
+    """One Philox generator that can be put at the start of any stream of a
+    master seed.
+
+    ``at(index)`` gives the stream of ``SeedSpec(master_seed, index).generator()``
+    (key words ``[index, master_seed]``, counter zero, empty buffers) by
+    writing the state of one reused bit generator, which costs a fraction
+    of building a new ``Philox`` (that also reads OS entropy).  Every call
+    restarts and returns the same generator object.
+    """
+
+    def __init__(self, master_seed: int):
+        SeedSpec(master_seed)  # the same range check
+        self._bits = np.random.Philox(0)
+        self._generator = np.random.Generator(self._bits)
+        self._state = {"bit_generator": "Philox",
+                       "state": {"counter": np.zeros(4, np.uint64),
+                                 "key": np.array([0, master_seed], np.uint64)},
+                       "buffer": np.zeros(4, np.uint64), "buffer_pos": 4,
+                       "has_uint32": 0, "uinteger": 0}
+
+    def at(self, index: int) -> np.random.Generator:
+        self._state["state"]["key"][0] = index  # the setter copies the words
+        self._bits.state = self._state
+        return self._generator
+
+
+# A block's stream source: streams(i) is row i's generator at the start of
+# its stream.  Asking again for a row restarts that row's stream.  (A string,
+# so that importing this module does not import numpy.random.)
+Streams = Callable[[int], "np.random.Generator"]
+
+
+def _restartable(rng: np.random.Generator) -> Streams:
+    """The stream source of a block of one that draws from ``rng``: every
+    call puts ``rng`` back where it stood when this was made."""
+    state = rng.bit_generator.state
+
+    def streams(_row: int) -> np.random.Generator:
+        rng.bit_generator.state = state
+        return rng
+    return streams
 
 
 @dataclass(frozen=True)
@@ -153,36 +200,50 @@ def sample_ellipsoid_uniform(spec: EllipsoidFamilySpec, count: int,
     """
     if count < 1:
         raise FamilyError("count must be >= 1")
-    rng = seed.generator()
-    return _draw_ellipsoid(spec, count, rng)
+    return _ellipsoid_block(spec, count, lambda _row: seed.generator(), 1)[0]
 
 
-def _draw_ellipsoid(spec: EllipsoidFamilySpec, count: int,
-                    rng: np.random.Generator) -> np.ndarray:
-    n = spec.dim
-    z = rng.standard_normal((count, n))
-    norms = np.linalg.norm(z, axis=1, keepdims=True)
-    # exact-zero normal vectors have probability ~0 but would divide by zero
-    while np.any(norms == 0.0):
-        bad = norms[:, 0] == 0.0
-        z[bad] = rng.standard_normal((int(bad.sum()), n))
-        norms = np.linalg.norm(z, axis=1, keepdims=True)
-    radii = rng.random(count) ** (1.0 / n)
-    return z / norms * radii[:, None] * spec.axes
+def _ellipsoid_block(spec: EllipsoidFamilySpec, count: int, streams: Streams,
+                     size: int) -> np.ndarray:
+    """(size, count, dim) uniform ellipsoid draws; row i draws from ``streams(i)``.
 
-
-def _draw_shifted_coords(spec: EllipsoidFamilySpec, count: int,
-                         rng: np.random.Generator) -> np.ndarray:
-    """Flattened nonnegative coordinates Y = X + a across independent blocks.
-
-    Consecutive length-dim blocks are independent draws; within a block the
-    coordinates are uncorrelated but coupled.  Returns the first ``count``
-    values in draw order.
+    Each row's normals and then its uniforms come from its own stream, and
+    the transform runs once for the block, so a row's values are those of
+    a block of one.
     """
-    blocks = -(-count // spec.dim)
-    x = _draw_ellipsoid(spec, blocks, rng)
-    y = x + spec.axes
-    return y.reshape(-1)[:count]
+    n = spec.dim
+    z = np.empty((size, count, n))
+    u = np.empty((size, count))
+    for i in range(size):
+        rng = streams(i)
+        rng.standard_normal(out=z[i])
+        rng.random(out=u[i])
+    norms = np.linalg.norm(z, axis=2, keepdims=True)
+    # exact-zero normal vectors have probability ~0 but would divide by zero;
+    # such a row is drawn again from the start of its stream in the order
+    # normals, redraws, uniforms
+    if not norms.all():
+        for i in np.flatnonzero(~norms.all(axis=(1, 2))).tolist():
+            rng, zi, ni = streams(i), z[i], norms[i]
+            rng.standard_normal(out=zi)
+            while np.any(ni == 0.0):
+                bad = ni[:, 0] == 0.0
+                zi[bad] = rng.standard_normal((int(bad.sum()), n))
+                ni[:] = np.linalg.norm(zi, axis=1, keepdims=True)
+            rng.random(out=u[i])
+    return z / norms * (u ** (1.0 / n))[..., None] * spec.axes
+
+
+def _shifted_block(spec: EllipsoidFamilySpec, count: int, streams: Streams,
+                   size: int) -> np.ndarray:
+    """(size, count) nonnegative coordinates Y = X + a across independent blocks.
+
+    In each row, consecutive length-dim blocks are independent draws;
+    within a block the coordinates are uncorrelated but coupled.  A row
+    holds the first ``count`` values in draw order.
+    """
+    x = _ellipsoid_block(spec, -(-count // spec.dim), streams, size)
+    return (x + spec.axes).reshape(size, -1)[:, :count]
 
 
 def make_interval_family(spec: EllipsoidFamilySpec, count: int,
@@ -197,7 +258,7 @@ def make_interval_family(spec: EllipsoidFamilySpec, count: int,
         raise FamilyError("interval families need shift='to_positive' so endpoints are >= 0")
     if count < 1:
         raise FamilyError("count must be >= 1")
-    y = _draw_shifted_coords(spec, count, seed.generator())
+    y = _shifted_block(spec, count, lambda _row: seed.generator(), 1)[0]
     axes = np.resize(spec.axes, count)
     bodies = tuple(Interval(0.0, float(v)) for v in y)
     expectations = tuple(Interval(0.0, float(a)) for a in axes)
@@ -227,27 +288,41 @@ def sample_ellipse_pair(a: float, b: float, center: tuple[float, float],
 _PROCESSES = ("iid_uniform", "uncorrelated_ellipsoid", "ar1")
 
 
-def _scalar_process(process: str, count: int, rng: np.random.Generator,
-                    rho: float | None, ellipsoid: EllipsoidFamilySpec | None) -> np.ndarray:
-    if process == "iid_uniform":
-        return rng.random(count)
+def _ar1(u: np.ndarray, rho: float) -> np.ndarray:
+    """c_0 = u_0, c_k = rho c_{k-1} + (1 - rho) u_k along each row of u."""
+    keep = 1.0 - rho
+    rows = []
+    for row in u.tolist():  # indexing numpy scalars costs about 3x as much
+        c = row[:1]
+        for x in row[1:]:
+            c.append(rho * c[-1] + keep * x)
+        rows.append(c)
+    return np.array(rows)
+
+
+def _scalar_block(process: str, count: int, streams: Streams, size: int,
+                  rho: float | None, ellipsoid: EllipsoidFamilySpec | None) -> np.ndarray:
+    """(size, count) scalar sequences; row i draws from ``streams(i)``."""
     if process == "uncorrelated_ellipsoid":
         if ellipsoid is None:
             raise FamilyError("process 'uncorrelated_ellipsoid' needs an ellipsoid spec")
         if ellipsoid.shift != "to_positive":
             raise FamilyError("scalar ellipsoid process needs shift='to_positive'")
-        return _draw_shifted_coords(ellipsoid, count, rng)
-    if process == "ar1":
-        if rho is None or not abs(rho) < 1.0:
-            raise FamilyError("process 'ar1' needs |rho| < 1")
-        # on Python floats: indexing numpy scalars costs about 3x as much
-        u = rng.random(count).tolist()
-        keep = 1.0 - rho
-        c = u[:1]
-        for x in u[1:]:
-            c.append(rho * c[-1] + keep * x)
-        return np.array(c)
-    raise FamilyError(f"unknown scalar process {process!r}; choose one of {_PROCESSES}")
+        return _shifted_block(ellipsoid, count, streams, size)
+    if process not in _PROCESSES:
+        raise FamilyError(f"unknown scalar process {process!r}; choose one of {_PROCESSES}")
+    if process == "ar1" and (rho is None or not abs(rho) < 1.0):
+        raise FamilyError("process 'ar1' needs |rho| < 1")
+    u = np.empty((size, count))
+    for i in range(size):
+        streams(i).random(out=u[i])
+    return u if process == "iid_uniform" else _ar1(u, rho)
+
+
+def _scalar_process(process: str, count: int, rng: np.random.Generator,
+                    rho: float | None, ellipsoid: EllipsoidFamilySpec | None) -> np.ndarray:
+    """One scalar sequence of ``_scalar_block``, drawn from ``rng``."""
+    return _scalar_block(process, count, _restartable(rng), 1, rho, ellipsoid)[0]
 
 
 def make_generic_family(body_template: ConvexBody, scalar_process: str, count: int,
@@ -348,12 +423,17 @@ class EllipsoidIntervalFamily:
         note = " axes=min(pattern, sqrt(n))" if self.block_dim is None else ""
         return f"{self.tag} draw_dim={spec.dim}{note}"
 
+    def support_block(self, n: int, streams: Streams, size: int) -> np.ndarray:
+        """(n, size, 2) support values on {+1, -1} of ``size`` draws of n
+        intervals, length-major; draw i comes from ``streams(i)``."""
+        y = _shifted_block(self._spec_for(n), n, streams, size)
+        out = np.zeros((n, size, 2))
+        out[:, :, 0] = y.T  # support at +1 is the upper endpoint; at -1 it is 0
+        return out
+
     def support_draws(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """(n, 2) support values of the n drawn intervals on {+1, -1}."""
-        y = _draw_shifted_coords(self._spec_for(n), n, rng)
-        out = np.zeros((n, 2))
-        out[:, 0] = y  # support at +1 is the upper endpoint; at -1 it is 0
-        return out
+        return self.support_block(n, _restartable(rng), 1)[:, 0]
 
     def mean_supports(self, n: int) -> np.ndarray:
         out = np.zeros((n, 2))
@@ -416,8 +496,11 @@ class DeterministicFamily:
     def _support_row(self) -> np.ndarray:
         return embed(self.body, self.grid).values
 
+    def support_block(self, n: int, streams: Streams, size: int) -> np.ndarray:
+        return np.tile(self._support_row, (n, size, 1))
+
     def support_draws(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        return np.tile(self._support_row, (n, 1))
+        return self.support_block(n, _restartable(rng), 1)[:, 0]
 
     def mean_supports(self, n: int) -> np.ndarray:
         return np.tile(self._support_row, (n, 1))
@@ -488,10 +571,6 @@ class ScaledTemplateFamily:
             return np.ones(n)
         return np.arange(1, n + 1) ** float(self.growth)
 
-    def _scales(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        rho = self.rho if self.process == "ar1" else None
-        return _scalar_process(self.process, n, rng, rho, None) * self._growth_factors(n)
-
     def _scale_variances(self, n: int) -> np.ndarray:
         if self.process == "iid_uniform":
             base = np.full(n, 1.0 / 12.0)
@@ -503,8 +582,16 @@ class ScaledTemplateFamily:
             base = np.array(base)
         return base * self._growth_factors(n) ** 2
 
+    def support_block(self, n: int, streams: Streams, size: int) -> np.ndarray:
+        """(n, size, m) support values of ``size`` draws of n bodies,
+        length-major; draw i comes from ``streams(i)``."""
+        rho = self.rho if self.process == "ar1" else None
+        c = _scalar_block(self.process, n, streams, size, rho, None) * self._growth_factors(n)
+        t = self._template_supports
+        return np.multiply(c.T[:, :, None], t, out=np.empty((n, size, len(t))))
+
     def support_draws(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        return np.outer(self._scales(n, rng), self._template_supports)
+        return self.support_block(n, _restartable(rng), 1)[:, 0]
 
     def mean_supports(self, n: int) -> np.ndarray:
         # E[c_k] = 1/2 for both processes (uniform innovations preserve it)

@@ -353,17 +353,17 @@ def evaluate_variance_condition(schedule: VarianceSchedule, kind: str, *,
 
 
 def write_verdict_csv(verdict: UncorrelationVerdict, path) -> None:
-    threshold = repr(verdict.threshold)
+    # the rows csv.writer would write (no field needs quoting), built directly;
+    # the threshold and flag fields are one of two fixed line ends
+    ends = tuple(f",{verdict.threshold!r},{flag}\r\n" for flag in (0, 1))
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "l", "direction", "covariance", "correlation",
-                         "threshold", "flag"])
+        fh.write("k,l,direction,covariance,correlation,threshold,flag\r\n")
         for (k, l), covs, corrs, flags in zip(verdict.pairs.tolist(),
                                               verdict.covariance.tolist(),
                                               verdict.correlation.tolist(),
                                               verdict.rejected.tolist()):
-            writer.writerows([k, l, j, repr(cov), repr(corr), threshold, int(flag)]
-                             for j, (cov, corr, flag) in enumerate(zip(covs, corrs, flags)))
+            fh.writelines(f"{k},{l},{j},{cov!r},{corr!r}{ends[flag]}"
+                          for j, (cov, corr, flag) in enumerate(zip(covs, corrs, flags)))
 
 
 def write_schedule_csv(schedule: VarianceSchedule, path) -> None:

@@ -75,12 +75,59 @@ a = 1,2
 kind = slln_log2
 length = 200
 """,
+    # several chunks per n (two full and a partial one), and the clamp at n = 3
+    "wlln-600-regen": """\
+command = wlln
+seed = 11
+family = ellipsoid_interval
+a = 1,2
+n_grid = 3,40,130
+epsilon = 0.4
+replications = 600
+""",
+    # a length that ends inside a block, and one that is a single block
+    "wlln-600-block7": """\
+command = wlln
+seed = 12
+family = ellipsoid_interval
+a = 0.5,1.5
+block_dim = 7
+n_grid = 5,7,30
+epsilon = 0.3
+replications = 600
+""",
+    # an AR(1) scale with growth on a 2-D box: 16 support columns per body
+    "wlln-ar1-box2d": """\
+command = wlln
+seed = 14
+family = scaled_ar1
+rho = 0.6
+growth = 0.25
+body = box 2 -1 -0.5 0.75 2
+grid_scheme = uniform_angles_2d
+grid_count = 16
+n_grid = 4,60
+epsilon = 0.3
+replications = 300
+""",
+    # three strong-law chunks
+    "slln-20": """\
+command = slln
+seed = 13
+family = ellipsoid_interval
+a = 1
+block_dim = 5
+max_n = 300
+paths = 20
+""",
 }
 
 # (config, --threads): wlln and slln run at 1 and 2 workers, which must agree
 CASES = [("wlln", 1), ("wlln", 2), ("slln", 1), ("slln", 2), ("sample-box2d", 1),
          ("test-uncorr-box2d", 1), ("hausdorff-1d", 1), ("hausdorff-2d", 1),
-         ("check-cond", 1)]
+         ("check-cond", 1), ("wlln-600-regen", 1), ("wlln-600-regen", 2),
+         ("wlln-600-block7", 1), ("wlln-600-block7", 2), ("wlln-ar1-box2d", 1),
+         ("wlln-ar1-box2d", 2), ("slln-20", 1), ("slln-20", 2)]
 
 GOLDEN = {
     'wlln': {
@@ -150,6 +197,68 @@ GOLDEN = {
             '274b1a3981eddbe3ea5828e59d78f13e0202f2554175b1f1bfa6ff5e79bc2212',
         '<stdout>':
             '66082032b585cc21d4e3da4365d0055f1579287505ba5487a8d13ac6c3b06b85',
+    },
+    'wlln-600-regen': {
+        'manifest.txt':
+            '43031dacd9311c32098bd6cd3c6f4573850168cdebc2192c232890f327f60b65',
+        'plot_bound.csv':
+            '3bc723de614b57ee4ec6e99f60e834a829b1a0d9338f45c3384f8bf06e7a6307',
+        'plot_exceedance.csv':
+            'fa89e5718342b8fba7e392327c5101e6a316794ea7506d8277b875ade5ebc566',
+        'plot_mean_d_h.csv':
+            'd855aa7133dd6fc2da2864fc080ce615a896e6107218594facde1d042ca78631',
+        'wlln_detail.csv':
+            'f8de79f5107414d3b551a031278794a1a87f4a28f1112b63262517bded2912e5',
+        'wlln_summary.csv':
+            '0c8f38242d0c4ac658d97f9a69dd55b6e21fae5d52b7ac63bf02a31dc946c019',
+        '<stdout>':
+            '4ca0c4eb1b7eabdb99b3765954dfcdf36e671473e4452b78358048711e74971e',
+    },
+    'wlln-600-block7': {
+        'manifest.txt':
+            'eb8351b02ece90069f384dec20aff6e75b41dc69eb475b51c0c916a1182136a8',
+        'plot_bound.csv':
+            'ac2c5e39476a50ee90e91f6a444d38528b905a36cdcad7e54e568b75ce390335',
+        'plot_exceedance.csv':
+            'cdbb194b62a512450bb262db60ddd8daac84b55c2d6a2a978cba3a7dc08d34af',
+        'plot_mean_d_h.csv':
+            '827b3097b308eea86870eca2d6fa0af3545d3d35e0bb791147b8a3f2d4363424',
+        'wlln_detail.csv':
+            '3b06d709d17c4f0ee8b2207820c7b18f1e77126a0a384b486dca36d052911692',
+        'wlln_summary.csv':
+            'a48206966003632778120c31432dcc2352f92fc3d6adc345c30dd60a2a9c2ae7',
+        '<stdout>':
+            '232bcdb06e0228756aa2a6a59c25231f96069d80e96db6554f4ef3b5a60fdd9b',
+    },
+    'wlln-ar1-box2d': {
+        'manifest.txt':
+            '5e27ddf1d889a81d6e995e16574b55c3238e46e9c218e50f8da338198f9cb894',
+        'plot_exceedance.csv':
+            '5717d66ea4e1b87a6b4ae13db5733d3ce2ff8fc2595071d3c6db5704a942f6be',
+        'plot_mean_d_h.csv':
+            'b7588847997d00f0f8c47430130b298914cdda0e89114df11f1c7899bc6170f6',
+        'wlln_detail.csv':
+            '7843faa0392e1e411130cbc6ec4facc12f1a57b0a6e595d19e7256816fdba027',
+        'wlln_summary.csv':
+            '3457502cb9c1c4971936f525b9764e36fa3e4c99f934a62a562bdea80b277ed1',
+        '<stdout>':
+            'c46822fc466b116f419e270771555f46220f6b01ac8a04012e92d47d5ba2aad4',
+    },
+    'slln-20': {
+        'manifest.txt':
+            '34f8ac98741300fee21ce44b9288d54e9f57fade2ee08951a3594c58a5e66854',
+        'plot_interblock_mean.csv':
+            'cc33f0fc49e2891039b2f1122e0a86ab29b37cacb61f1e2bf75b767972b24924',
+        'plot_mean_s_n_over_n.csv':
+            'fe4bb26d8a28774ecf41419a0b894300c3ee9967ff82595fdc3eb3466d2cbee3',
+        'plot_square_mean.csv':
+            'fcda7e8fa5d199ea5a36e8f292e1fcb628db9c72e059e7656f8fbba3ec79cc98',
+        'slln_detail.csv':
+            'c4fde92bbc6cfe167c135fad45f786122e78d7dd3d37c3245459a1cbc3845e98',
+        'slln_summary.csv':
+            '554cc5efa4f7f4a8e6ec4c9471a91123ae21dd145ab507b379d73711d585132c',
+        '<stdout>':
+            'a97a3948f065cb244538d10b3c56a202f4d802eb807c3909084031368f89c491',
     },
 }
 

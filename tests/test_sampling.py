@@ -1,10 +1,14 @@
 import math
+import os
 import pickle
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from setlaw import (
+    Box,
     EllipsoidFamilySpec,
     EllipsoidIntervalFamily,
     FamilyError,
@@ -13,6 +17,7 @@ from setlaw import (
     SeedSpec,
     SetSample,
     interval_family_variances,
+    make_direction_grid,
     make_generic_family,
     make_interval_family,
     read_set_sample,
@@ -24,7 +29,14 @@ from setlaw import (
     Direction,
 )
 from setlaw.harness import _STREAM_SHIFT, _wlln_chunk
-from setlaw.sampling import _scalar_process
+from setlaw.sampling import (
+    DeterministicFamily,
+    StreamCursor,
+    _ellipsoid_block,
+    _restartable,
+    _scalar_block,
+    _scalar_process,
+)
 
 UP = Direction((1.0,))
 
@@ -367,3 +379,163 @@ def test_ar1_recursions_equal_elementwise_loop(rho, count):
         growth = np.arange(1, count + 1) ** 0.5
         want_var = _reference_ar1_variances(rho, count) * growth ** 2
         assert fam._scale_variances(count).tobytes() == want_var.tobytes()
+
+
+@pytest.mark.parametrize("rho", [0.9, -0.3, 0.0])
+@pytest.mark.parametrize("size", [1, 3])
+def test_ar1_block_rows_equal_elementwise_loop(rho, size):
+    got = _scalar_block("ar1", 300, lambda i: SeedSpec(14, i).generator(), size, rho, None)
+    want = np.stack([_reference_ar1(300, SeedSpec(14, i).generator(), rho)
+                     for i in range(size)])
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+# -- stream cursor -----------------------------------------------------------------
+
+_U64_MAX = (1 << 64) - 1
+
+
+def _first_draws(rng):
+    return (rng.standard_normal(5), rng.random(3),
+            rng.integers(0, 1 << 32, size=3, dtype=np.uint32), rng.standard_normal(2))
+
+
+@pytest.mark.parametrize("master", [0, 42, _U64_MAX])
+def test_cursor_streams_equal_seed_spec_streams(master):
+    indices = [0, 1, (1000 << _STREAM_SHIFT) | 9999, _U64_MAX]
+    cursor = StreamCursor(master)
+    for index in indices + indices[::-1]:  # each stream visited twice, out of order
+        got = _first_draws(cursor.at(index))
+        want = _first_draws(SeedSpec(master, index).generator())
+        assert all(g.dtype == w.dtype and g.tobytes() == w.tobytes()
+                   for g, w in zip(got, want))
+
+
+def test_cursor_reset_after_a_half_used_32_bit_word():
+    cursor = StreamCursor(42)
+    rng = cursor.at(5)
+    rng.integers(0, 1 << 32, size=3, dtype=np.uint32)  # odd: half a word left
+    assert rng.bit_generator.state["has_uint32"] == 1
+    got = cursor.at(7).integers(0, 1 << 32, size=5, dtype=np.uint32)
+    want = SeedSpec(42, 7).generator().integers(0, 1 << 32, size=5, dtype=np.uint32)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_cursor_rejects_out_of_range_seeds():
+    with pytest.raises(FamilyError):
+        StreamCursor(1 << 64)
+    with pytest.raises(FamilyError):
+        StreamCursor(-1)
+
+
+def test_import_leaves_numpy_random_unloaded():
+    # numpy loads numpy.random on first use; an import that forces it moves
+    # about 15 ms into every command's start-up
+    code = "import sys, setlaw; sys.exit(int('numpy.random' in sys.modules))"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
+
+
+def test_restartable_source_restarts_where_the_generator_stood():
+    rng = SeedSpec(8, 3).generator()
+    rng.standard_normal(7)
+    streams = _restartable(rng)
+    first = streams(0).standard_normal(11)
+    assert streams(0).standard_normal(11).tobytes() == first.tobytes()
+
+
+# -- block draws ---------------------------------------------------------------------
+
+def _grid256():
+    return make_direction_grid(2, 256, "uniform_angles_2d")
+
+
+_BLOCK_FAMILIES = {
+    "ellipsoid-regen": EllipsoidIntervalFamily((1.0, 5.0)),
+    "ellipsoid-block7": EllipsoidIntervalFamily((0.5, 1.5), block_dim=7),
+    "iid-interval": ScaledTemplateFamily(Interval(0.0, 2.0)),
+    "ar1-interval": ScaledTemplateFamily(Interval(-1.0, 2.0), "ar1", rho=0.7, growth=0.3),
+    "iid-box2d-256": ScaledTemplateFamily(Box((-0.5, 0.0), (1.0, 2.0)),
+                                          direction_grid=_grid256()),
+    "ar1-box2d-256": ScaledTemplateFamily(Box((-1.0, -0.5), (0.75, 2.0)), "ar1", rho=0.6,
+                                          growth=0.25, direction_grid=_grid256()),
+    "deterministic-interval": DeterministicFamily(Interval(-1.0, 3.0)),
+    "deterministic-box2d-256": DeterministicFamily(Box((-0.5, 0.0), (1.0, 2.0)), _grid256()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BLOCK_FAMILIES))
+@pytest.mark.parametrize("size", [1, 3, 33])
+@pytest.mark.parametrize("n", [1, 9, 40])
+def test_block_draws_equal_per_replication_draws(name, size, n):
+    fam = _BLOCK_FAMILIES[name]
+    indices = [(n << _STREAM_SHIFT) | (5 + 2 * i) for i in range(size)]
+    block = fam.support_block(n, lambda i: SeedSpec(21, indices[i]).generator(), size)
+    loop = np.stack([fam.support_draws(n, SeedSpec(21, r).generator()) for r in indices],
+                    axis=1)
+    m = len(fam.grid)
+    # length-major and C-contiguous: the weak-law reduction sums over n in
+    # order only on this layout
+    assert block.shape == (n, size, m) and block.flags.c_contiguous
+    assert block.dtype == loop.dtype and block.tobytes() == loop.tobytes()
+
+
+def test_block_draws_with_a_cursor_equal_seed_spec_draws():
+    fam = EllipsoidIntervalFamily((1.0,), block_dim=16)
+    cursor = StreamCursor(77)
+    block = fam.support_block(100, cursor.at, 5)
+    loop = np.stack([fam.support_draws(100, SeedSpec(77, i).generator()) for i in range(5)],
+                    axis=1)
+    assert block.tobytes() == loop.tobytes()
+
+
+def _reference_draw_ellipsoid(spec, count, rng):
+    """``_draw_ellipsoid`` as it was before blocks: one stream, one draw."""
+    n = spec.dim
+    z = rng.standard_normal((count, n))
+    norms = np.linalg.norm(z, axis=1, keepdims=True)
+    while np.any(norms == 0.0):
+        bad = norms[:, 0] == 0.0
+        z[bad] = rng.standard_normal((int(bad.sum()), n))
+        norms = np.linalg.norm(z, axis=1, keepdims=True)
+    radii = rng.random(count) ** (1.0 / n)
+    return z / norms * radii[:, None] * spec.axes
+
+
+class _ZeroRowStream:
+    """A Philox stream whose first ``zero_calls`` normal draws come back with
+    an all-zero first row, as a redraw-forcing stand-in for the ~0-probability
+    exact-zero normal vector."""
+
+    def __init__(self, index, zero_calls):
+        self._rng = SeedSpec(5, index).generator()
+        self.zero_calls = zero_calls
+        self.normal_calls = 0
+
+    def standard_normal(self, size=None, out=None):
+        z = self._rng.standard_normal(size, out=out)
+        if self.normal_calls < self.zero_calls:
+            z[0] = 0.0
+        self.normal_calls += 1
+        return z
+
+    def random(self, size=None, out=None):
+        return self._rng.random(size, out=out)
+
+
+@pytest.mark.parametrize("zero_calls", [1, 2])
+@pytest.mark.parametrize("axes", [(1.0,), (1.0, 2.0, 0.5)])
+def test_zero_norm_rows_are_redrawn_as_before(zero_calls, axes):
+    spec = EllipsoidFamilySpec(axes, shift="to_positive")
+    made = []
+
+    def streams(i):  # row 1 forces the redraw; rows 0 and 2 are plain streams
+        made.append(_ZeroRowStream(i, zero_calls if i == 1 else 0))
+        return made[-1]
+
+    got = _ellipsoid_block(spec, 4, streams, 3)
+    assert made[-1].normal_calls == 1 + zero_calls  # row 1 replayed: z, then redraws
+    for i in range(3):
+        want = _reference_draw_ellipsoid(spec, 4, _ZeroRowStream(i, zero_calls if i == 1 else 0))
+        assert got[i].tobytes() == want.tobytes()
+    assert np.all(np.isfinite(got))

@@ -458,6 +458,28 @@ def test_verdict_csv_rows_follow_the_arrays(tmp_path):
     assert flag == str(int(verdict.rejected[1, 0]))
 
 
+def test_verdict_csv_is_what_csv_writer_writes(tmp_path):
+    import csv
+    from setlaw.stats import write_verdict_csv
+    nan, inf = float("nan"), float("inf")
+    corr = np.array([[nan, inf, -inf, -0.0], [1e-300, 0.25, -0.75, 1.0]])
+    cov = np.array([[-0.0, 1e-300, nan, inf], [-inf, 3.5, -1e-300, 0.0]])
+    verdict = UncorrelationVerdict(1.0, 0.5, np.array([[0, 1], [1, 2]]), cov, corr,
+                                   "rejected")
+    write_verdict_csv(verdict, tmp_path / "got.csv")
+    with open(tmp_path / "want.csv", "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["k", "l", "direction", "covariance", "correlation",
+                         "threshold", "flag"])
+        for p, (k, l) in enumerate(((0, 1), (1, 2))):
+            for j in range(4):
+                writer.writerow([k, l, j, repr(float(cov[p, j])), repr(float(corr[p, j])),
+                                 repr(0.5), int(abs(corr[p, j]) > 0.5)])
+    got = (tmp_path / "got.csv").read_bytes()
+    assert got == (tmp_path / "want.csv").read_bytes()
+    assert b",nan,0.5,0\r\n" in got and b",-0.0,0.5,0\r\n" in got  # both cases ran
+
+
 def test_verdicts_compare_by_value():
     fam = ScaledTemplateFamily(Interval(0, 1), "ar1", rho=0.5)
     reps = _replications(fam, 3, 50, 68)
