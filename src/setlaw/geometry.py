@@ -8,6 +8,10 @@ convex bodies is the sup of |support difference| over unit directions.
 For d = 1 the unit sphere is exactly {+1, -1}, so every metric quantity
 is computed exactly; for d >= 2 a finite antipodal-closed grid gives a
 lower bound that tightens as the grid refines.
+
+Each grid's neighbour structure (the order by angle in 2-D, a blocked Gram
+pass beyond) finds duplicates and antipodes, and certifies that support
+values on the grid are convex from each direction's neighbours.
 """
 
 from __future__ import annotations
@@ -15,18 +19,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import combinations
 from typing import Iterator, Sequence
 
 import numpy as np
 
 NORM_TOL = 1e-12        # allowed deviation of a direction from unit norm
 DUPLICATE_TOL = 1e-9    # minimum chordal separation between grid directions
-SUBLINEAR_TOL = 1e-9    # slack for support-value consistency checks
-
-# Grids with at most this many directions get the complete pairwise
-# sublinearity check; larger grids check a fixed-stride subsample.
-_FULL_CHECK_LIMIT = 512
-_SUBSAMPLE_PAIRS = 20_000
+SUBLINEAR_TOL = 1e-9    # slack for support-value consistency checks, per unit of value
 
 _DEFAULT_GRID_COUNT = 256
 
@@ -116,51 +116,89 @@ class DirectionGrid:
         self._dim = dim
         self._matrix = _readonly([d.components for d in dirs])
         self.label = label or f"custom dim={dim} count={len(dirs)}"
-        self._check_duplicates()
-        self._antipode_index = self._build_antipode_map()
+        dupes, antipodes = self._angular_pairs() if dim == 2 else self._gram_pairs()
+        if len(dupes):
+            i, j = min(dupes.tolist())
+            raise GeometryError(f"grid directions {i} and {j} coincide within {DUPLICATE_TOL}")
+        self._antipode_index = None if np.any(antipodes < 0) else _readonly(antipodes, int)
         if dim == 1:
             comps = sorted(d.components[0] for d in dirs)
             if len(dirs) != 2 or comps != [-1.0, 1.0]:
                 raise GeometryError("a one-dimensional grid must be exactly {+1, -1}")
 
-    # -- construction checks -------------------------------------------------
+    # -- neighbour structure -------------------------------------------------
 
-    def _near_pairs(self, sign: float, tol: float) -> list[tuple[int, int]]:
-        """Index pairs (i < j) with ||u_i + sign*u_j|| <= tol.
+    def _angular_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Duplicate pairs and the antipode map of a 2-D grid, from its angular order.
 
-        A Gram-matrix prefilter finds candidates; the distance is then
-        recomputed by direct subtraction, which is exact for identical
-        vectors where 1 - <u_i, u_j> loses all precision.
+        Directions within DUPLICATE_TOL of each other are adjacent in the
+        cyclic order by angle (the pair across the +-pi seam included), and
+        the antipode of the direction at angle a is one of the two
+        directions either side of where a -+ pi would be inserted.
         """
         m = self._matrix
-        pairs = []
-        for rows in _row_blocks(len(m), len(m)):
-            gram = m[rows] @ m.T
-            # dist^2 = 2 + 2*sign*gram; candidates where that may be tiny
-            cand = np.argwhere(2.0 + 2.0 * sign * gram < 1e-12)
-            for loc, j in cand:
-                i = rows.start + int(loc)
-                j = int(j)
-                if i >= j:
-                    continue
-                if float(np.linalg.norm(m[i] + sign * m[j])) <= tol:
-                    pairs.append((i, j))
-        return pairs
+        angles = np.arctan2(m[:, 1], m[:, 0])
+        order = self._order = np.argsort(angles, kind="stable")
+        following = np.roll(order, -1)
+        close = (order != following) & (
+            np.linalg.norm(m[order] - m[following], axis=1) <= DUPLICATE_TOL)
+        at = np.searchsorted(angles[order], np.where(angles > 0.0, angles - math.pi,
+                                                     angles + math.pi))
+        mapping = np.full(len(m), -1)
+        for j in (order[at - 1], order[at % len(m)]):  # either side, across the seam
+            hit = np.linalg.norm(m + m[j], axis=1) <= DUPLICATE_TOL
+            mapping[hit] = j[hit]
+        return np.sort(np.column_stack([order[close], following[close]]), axis=1), mapping
 
-    def _check_duplicates(self):
-        dupes = self._near_pairs(-1.0, DUPLICATE_TOL)
-        if dupes:
-            i, j = dupes[0]
-            raise GeometryError(f"grid directions {i} and {j} coincide within {DUPLICATE_TOL}")
+    def _gram_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Duplicate pairs and the antipode map from one blocked Gram pass.
 
-    def _build_antipode_map(self) -> np.ndarray | None:
-        mapping = np.full(len(self._directions), -1, dtype=int)
-        for i, j in self._near_pairs(+1.0, DUPLICATE_TOL):
-            mapping[i] = j
-            mapping[j] = i
-        if np.any(mapping < 0):
-            return None
-        return _readonly(mapping, dtype=int)
+        Normalized rows prefilter the pairs with |<u_i, u_j>| within about
+        1e-12 of 1 (a row may be off unit norm by NORM_TOL, which would
+        shift its inner products by more than that); each candidate's
+        distance is then recomputed by direct subtraction, which is exact
+        for identical vectors where 1 - <u_i, u_j> loses all precision.
+        """
+        m = self._matrix
+        unit = m / np.linalg.norm(m, axis=1, keepdims=True)
+        i, j = np.concatenate([np.argwhere(np.abs(unit[rows] @ unit.T) > 1.0 - 5e-13)
+                               + (rows.start, 0) for rows in _row_blocks(len(m), len(m))]).T
+        dupes = (i < j) & (np.linalg.norm(m[i] - m[j], axis=1) <= DUPLICATE_TOL)
+        opposite = np.linalg.norm(m[i] + m[j], axis=1) <= DUPLICATE_TOL
+        mapping = np.full(len(m), -1)
+        mapping[i[opposite]] = j[opposite]
+        return np.column_stack([i[dupes], j[dupes]]), mapping
+
+    @cached_property
+    def _certificate(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Cone certificates (k, S, lam) with u_k = lam @ u_S and lam >= 0.
+
+        S runs over the two angular neighbours of u_k in 2-D, and over every
+        dim-subset of the dim + 3 directions nearest u_k otherwise; subsets
+        that are singular or whose cone misses u_k are dropped.  Built on
+        the first embedded body on this grid.
+        """
+        m = self._matrix
+        count, dim = m.shape
+        if dim == 2:
+            k = self._order
+            subsets = np.column_stack([np.roll(k, 1), np.roll(k, -1)])
+        else:
+            near = min(count - 1, dim + 3)
+            pick = np.array(list(combinations(range(near), dim)), dtype=np.intp).reshape(-1, dim)
+            nearest = np.empty((count, near), dtype=np.intp)
+            for rows in _row_blocks(count, count):
+                gram = m[rows] @ m.T
+                gram[np.arange(len(gram)), np.arange(rows.start, rows.stop)] = -np.inf
+                nearest[rows] = np.argpartition(-gram, near - 1, axis=1)[:, :near]
+            k = np.repeat(np.arange(count), len(pick))
+            subsets = nearest[:, pick].reshape(-1, dim)
+        cones = m[subsets].transpose(0, 2, 1)  # column i is u_{S_i}
+        regular = np.abs(np.linalg.det(cones)) > 1e-12
+        k, subsets = k[regular], subsets[regular]
+        lam = np.linalg.solve(cones[regular], m[k][:, :, None])[:, :, 0]
+        inside = np.all(lam >= 0.0, axis=1)
+        return k[inside], subsets[inside], lam[inside]
 
     # -- basic access --------------------------------------------------------
 
@@ -219,47 +257,6 @@ class DirectionGrid:
         for rows in _row_blocks(len(U), m.size):
             idx[rows] = np.argmin(np.sum((U[rows, None, :] - m) ** 2, axis=2), axis=1)
         return idx, np.linalg.norm(U - m[idx], axis=1) <= tol
-
-    @cached_property
-    def _midpoint_triples(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Pairs (i, j) whose normalized sum lands on grid index k.
-
-        Returns (i, j, k, norm_of_sum) arrays; used to test sublinearity of
-        support values on this grid.  Complete for small grids, a fixed
-        deterministic subsample for large ones.
-        """
-        m = self._matrix
-        count = len(self._directions)
-        total = count * (count - 1) // 2
-        stride = 1
-        if count > _FULL_CHECK_LIMIT and total > _SUBSAMPLE_PAIRS:
-            stride = total // _SUBSAMPLE_PAIRS + 1
-        # every stride-th pair of the row-major upper triangle (i < j), found
-        # from its flat index through the row starts i*count - i*(i+1)/2
-        flat = np.arange(0, total, stride)
-        rows = np.arange(count)
-        starts = rows * count - rows * (rows + 1) // 2
-        ii = np.searchsorted(starts, flat, side="right") - 1
-        jj = flat - starts[ii] + ii + 1
-        out_i, out_j, out_k, out_s = [], [], [], []
-        for block in _row_blocks(len(ii), count):
-            ci, cj = ii[block], jj[block]
-            sums = m[ci] + m[cj]
-            norms = np.linalg.norm(sums, axis=1)
-            keep = norms > 1e-12
-            ci, cj, sums, norms = ci[keep], cj[keep], sums[keep], norms[keep]
-            mids = sums / norms[:, None]
-            nearest = np.argmax(mids @ m.T, axis=1)
-            hit = np.linalg.norm(mids - m[nearest], axis=1) <= DUPLICATE_TOL
-            out_i.append(ci[hit])
-            out_j.append(cj[hit])
-            out_k.append(nearest[hit])
-            out_s.append(norms[hit])
-        if not out_i:
-            empty = np.empty(0)
-            return empty.astype(int), empty.astype(int), empty.astype(int), empty
-        return (np.concatenate(out_i), np.concatenate(out_j),
-                np.concatenate(out_k), np.concatenate(out_s))
 
 
 def make_direction_grid(dim: int, count: int, scheme: str, seed: int = 0) -> DirectionGrid:
@@ -472,21 +469,23 @@ class SupportVector:
 class Embedded(ConvexBody):
     """Body known only through its support values on a grid.
 
-    Construction checks sublinearity on every grid pair whose normalized
-    midpoint is itself a grid direction; values that cannot come from a
-    convex body are rejected.
+    Construction checks the grid's cone certificates: where u_k = lam . u_S
+    with lam >= 0 for neighbouring directions S, sublinearity requires
+    h_k <= lam . h_S, up to SUBLINEAR_TOL * sum(lam) * max(1, max |h|).
+    Values that fail cannot come from a convex body.  In 2-D, where each
+    direction lies in the cone of its two angular neighbours, passing is
+    also sufficient: the values are those of the polygon they cut out.
     """
 
     def __init__(self, support: SupportVector):
         self._support = support
-        i, j, k, norms = support.grid._midpoint_triples
-        if len(i):
-            vals = support.values
-            excess = vals[k] - (vals[i] + vals[j]) / norms
-            worst = float(excess.max(initial=0.0))
-            if worst > SUBLINEAR_TOL:
-                raise GeometryError(
-                    f"support values violate sublinearity by {worst:.3e}; not a convex body")
+        k, subsets, lam = support.grid._certificate
+        vals = support.values
+        excess = vals[k] - np.einsum("ij,ij->i", lam, vals[subsets])
+        slack = SUBLINEAR_TOL * max(1.0, float(np.abs(vals).max())) * lam.sum(axis=1)
+        if np.any(excess > slack):
+            raise GeometryError(f"support values violate sublinearity by "
+                                f"{float(excess.max()):.3e}; not a convex body")
 
     @property
     def support(self) -> SupportVector:

@@ -19,9 +19,7 @@ from __future__ import annotations
 import csv
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from multiprocessing import get_context
 from typing import Sequence
 
 import numpy as np
@@ -145,6 +143,9 @@ def _map_chunks(func, args_list, threads: int):
     workers = min(threads, len(args_list), os.cpu_count() or 1)
     if workers <= 1:
         return [func(a) for a in args_list]
+    # imported here, so that commands that never start a pool skip about 16 ms
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import get_context
     with ProcessPoolExecutor(max_workers=workers,
                              mp_context=get_context("fork")) as pool:
         return list(pool.map(func, args_list))

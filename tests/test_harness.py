@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import math
 import os
@@ -271,7 +272,8 @@ def test_pool_size_is_clamped_to_chunks_and_cpus(monkeypatch):
         def map(self, func, args_list):
             return map(func, args_list)
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    # _map_chunks imports the executor only when it starts a pool
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     assert harness._map_chunks(abs, [-1, -2, -3], 64) == [1, 2, 3]
     assert harness._map_chunks(abs, list(range(-10, 0)), 64) == list(range(10, 0, -1))

@@ -430,10 +430,17 @@ def test_cursor_rejects_out_of_range_seeds():
 
 def test_import_leaves_numpy_random_unloaded():
     # numpy loads numpy.random on first use; an import that forces it moves
-    # about 15 ms into every command's start-up
-    code = "import sys, setlaw; sys.exit(int('numpy.random' in sys.modules))"
+    # about 15 ms into every command's start-up.  The process pool's modules
+    # (16-21 ms) load only when a pool starts, and scipy (about 0.5 s and
+    # 33-38 MiB) not at all.
+    code = ("import sys, setlaw; random = 'numpy.random' in sys.modules; import setlaw.cli; "
+            "print(*[m for m in ('concurrent.futures', 'scipy') if m in sys.modules]); "
+            "sys.exit(int(random))")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
+    done = subprocess.run([sys.executable, "-c", code], env=env, timeout=60,
+                          capture_output=True, text=True)
+    assert done.returncode == 0
+    assert done.stdout.split() == []
 
 
 def test_restartable_source_restarts_where_the_generator_stood():

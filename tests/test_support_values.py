@@ -1,5 +1,7 @@
 """The vectorized support primitive and the grid machinery around it."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,7 +20,7 @@ from setlaw import (
     support_function,
     support_values,
 )
-from setlaw.geometry import DUPLICATE_TOL, _default_grid
+from setlaw.geometry import DUPLICATE_TOL, DirectionGrid, SupportVector, _default_grid
 
 # signed zeros and exact small values next to arbitrary floats, so that
 # products like 0.0 * -1.0 = -0.0 occur
@@ -80,7 +82,9 @@ def test_support_values_match_support_function_bit_for_bit(dim, data):
 
 @pytest.mark.parametrize("dim,scheme,count", [(1, "exact1d", 2),
                                               (2, "uniform_angles_2d", 16),
-                                              (3, "fibonacci_3d", 32)])
+                                              (3, "fibonacci_3d", 32),
+                                              (3, "fibonacci_3d", 256),
+                                              (4, "seeded_random", 64)])
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_embedded_support_values_match_support_function(dim, scheme, count, data):
@@ -134,41 +138,116 @@ def test_default_grid_is_built_once_per_dimension():
     assert _default_grid(2) is not _default_grid(3)
 
 
-def _reference_pairs(count: int, stride: int) -> tuple[np.ndarray, np.ndarray]:
-    """Every stride-th pair of the row-major upper triangle, row by row."""
-    ii, jj = [], []
-    start = 0
-    for i in range(count - 1):
-        flat = start + np.arange(count - 1 - i)
-        keep = flat % stride == 0
-        ii.append(np.full(int(keep.sum()), i))
-        jj.append(np.arange(i + 1, count)[keep])
-        start += count - 1 - i
-    return np.concatenate(ii), np.concatenate(jj)
+def _reference_pairs(m: np.ndarray, sign: float) -> list[tuple[int, int]]:
+    """Every pair i != j with ||u_i + sign*u_j|| <= DUPLICATE_TOL, by direct subtraction."""
+    pairs = []
+    for lo in range(0, len(m), 256):
+        dist = np.linalg.norm(m[lo:lo + 256, None, :] + sign * m[None, :, :], axis=2)
+        pairs += [(lo + int(i), int(j)) for i, j in np.argwhere(dist <= DUPLICATE_TOL)
+                  if lo + i != j]
+    return pairs
 
 
-def _reference_triples(m: np.ndarray, ii: np.ndarray, jj: np.ndarray):
-    sums = m[ii] + m[jj]
-    norms = np.linalg.norm(sums, axis=1)
-    keep = norms > 1e-12
-    ii, jj, sums, norms = ii[keep], jj[keep], sums[keep], norms[keep]
-    mids = sums / norms[:, None]
-    nearest = np.array([int(np.argmin(np.sum((m - mid) ** 2, axis=1))) for mid in mids])
-    hit = np.linalg.norm(mids - m[nearest], axis=1) <= DUPLICATE_TOL
-    return ii[hit], jj[hit], nearest[hit], norms[hit]
+def _custom_grid(dim: int, antipodes: int) -> DirectionGrid:
+    """Nine seeded directions, the first ``antipodes`` of them with their antipodes."""
+    rows = np.random.default_rng(dim).normal(size=(9, dim))
+    dirs = [Direction.unit(r) for r in rows]
+    return DirectionGrid(dirs + [d.negated() for d in dirs[:antipodes]])
 
 
-@pytest.mark.parametrize("count", [256, 600, 4096])
-def test_midpoint_triples_match_upper_triangle_reference(count):
-    grid = make_direction_grid(2, count, "uniform_angles_2d")
-    total = count * (count - 1) // 2
-    stride = 1 if count <= 512 else total // 20_000 + 1
-    ii, jj = _reference_pairs(count, stride)
-    if count <= 600:
-        full_i, full_j = np.triu_indices(count, k=1)
-        assert np.array_equal(ii, full_i[::stride]) and np.array_equal(jj, full_j[::stride])
-    got = grid._midpoint_triples
-    want = _reference_triples(grid.matrix, ii, jj)
-    assert len(got[0]) > 0
-    for g, w in zip(got, want):
-        assert np.array_equal(g, w)
+@pytest.mark.parametrize("grid", [
+    *(make_direction_grid(2, count, "uniform_angles_2d") for count in (4, 256, 600, 4096)),
+    *(make_direction_grid(3, count, "fibonacci_3d") for count in (100, 256)),
+    make_direction_grid(4, 128, "seeded_random", seed=3),
+    *(_custom_grid(dim, antipodes) for dim in (2, 3) for antipodes in (8, 9)),
+], ids=lambda grid: grid.label)
+def test_antipodes_and_duplicates_match_all_pairs_reference(grid):
+    m = grid.matrix
+    assert _reference_pairs(m, -1.0) == []
+    antipodes = _reference_pairs(m, +1.0)
+    partner = dict(antipodes)
+    assert len(partner) == len(antipodes)  # at most one antipode per direction
+    assert grid.antipodal_closed == (len(partner) == len(m))
+    if grid.antipodal_closed:
+        assert list(grid.antipode_index) == [partner[i] for i in range(len(m))]
+    else:
+        with pytest.raises(GeometryError, match="antipodal"):
+            grid.antipode_index
+
+
+def _turned(angle: float) -> Direction:
+    return Direction((math.cos(angle), math.sin(angle)))
+
+
+@pytest.mark.parametrize("gap,coincide", [(5e-10, True), (2e-9, False)])
+def test_near_duplicates_coincide_within_tolerance(gap, coincide):
+    grids = [
+        [_turned(0.3), _turned(2.0), _turned(0.3 + gap)],
+        # a pair straddling the +-pi seam of the angular order
+        [_turned(math.pi - gap / 2), _turned(1.0), _turned(-math.pi + gap / 2)],
+        [Direction.unit((1.0, 2.0, 3.0)), Direction.unit((0.0, 0.0, 1.0)),
+         Direction.unit((1.0, 2.0, 3.0 + gap * math.sqrt(14.0)))],
+        # rows below unit norm by less than NORM_TOL
+        [Direction((0.6 * (1 - 9e-13), 0.0, 0.8 * (1 - 9e-13))), Direction((0.0, 1.0, 0.0)),
+         Direction(((0.6 + gap * 0.8) * (1 - 9e-13), 0.0, (0.8 - gap * 0.6) * (1 - 9e-13)))],
+    ]
+    for dirs in grids:
+        assert (_reference_pairs(np.array([d.components for d in dirs]), -1.0) != []) == coincide
+        if coincide:
+            with pytest.raises(GeometryError, match="coincide"):
+                DirectionGrid(dirs)
+        else:
+            DirectionGrid(dirs)
+
+
+@pytest.mark.parametrize("dim,scheme,count", [(2, "uniform_angles_2d", 6),
+                                              (2, "uniform_angles_2d", 4096),
+                                              (3, "fibonacci_3d", 256),
+                                              (4, "seeded_random", 256)])
+def test_cone_certificates_hold(dim, scheme, count):
+    grid = make_direction_grid(dim, count, scheme)
+    k, subsets, lam = grid._certificate
+    m = grid.matrix
+    assert np.all(lam >= 0.0)
+    assert np.allclose(np.einsum("ij,ijk->ik", lam, m[subsets]), m[k], rtol=0, atol=1e-12)
+    assert np.all(k[:, None] != subsets)
+    if dim <= 3:  # every direction of these grids has a certificate
+        assert set(k.tolist()) == set(range(count))
+
+
+@pytest.mark.parametrize("rows", [[(1.0, 0.0)], [(1.0, 0.0), (0.0, 1.0)],
+                                  [(1.0, 0.0, 0.0)], [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0)],
+                                  [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)]])
+def test_grids_too_small_for_a_cone_accept_any_values(rows):
+    grid = DirectionGrid([Direction(r) for r in rows])
+    assert len(grid._certificate[0]) == 0
+    Embedded(SupportVector(grid, np.arange(len(rows)) - 5.0))
+
+
+def test_convexity_check_rejects_a_local_bump_in_2d():
+    grid = make_direction_grid(2, 4096, "uniform_angles_2d")
+    values = embed(Box((-1.0, -0.5), (1.0, 2.0)), grid).values.copy()
+    Embedded(SupportVector(grid, values))
+    values[1000] += 1e-3
+    with pytest.raises(GeometryError, match="sublinear"):
+        Embedded(SupportVector(grid, values))
+
+
+def test_convexity_check_rejects_a_spike_in_3d():
+    grid = make_direction_grid(3, 256, "fibonacci_3d")
+    values = np.ones(256)
+    Embedded(SupportVector(grid, values))  # the unit ball
+    values[7] = 5.0
+    with pytest.raises(GeometryError, match="sublinear"):
+        Embedded(SupportVector(grid, values))
+
+
+@pytest.mark.parametrize("dim,scheme,count", [(2, "uniform_angles_2d", 4096),
+                                              (3, "fibonacci_3d", 256)])
+def test_convexity_check_accepts_bodies_far_from_the_origin(dim, scheme, count):
+    # rounding in values near 1e8 exceeds an absolute 1e-9 slack
+    grid = make_direction_grid(dim, count, scheme)
+    for body in (Box((1e8,) * dim, (1e8 + 1.0,) * dim), Polytope([[1e8] + [0.0] * (dim - 1)]),
+                 Box((1e6,) + (-3e5,) * (dim - 1), (1e6 + 1.0,) + (-3e5 + 2.0,) * (dim - 1)),
+                 Polytope([[0.0] * dim, [1e-9] + [0.0] * (dim - 1)])):
+        Embedded(embed(body, grid))
