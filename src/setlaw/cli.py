@@ -5,6 +5,12 @@ Every command validates its keys up front: unknown keys, duplicates, and
 type mismatches are errors naming the offending key.  Runs emit CSV files
 plus a manifest recording the config hash, seed, grid, and version; with
 a fixed seed the emitted bytes are identical at any ``--threads`` value.
+
+Every command runs through :func:`dispatch`.  It builds the family when the
+config names one and calls the command's step, which writes the command's
+own files and returns an :class:`Outcome`.  Then it writes the manifest,
+prints the outcome's stdout text and, under ``--strict``, exits 2 with one
+``strict:`` line on stderr when the outcome names a failure.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ import os
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import NamedTuple
 
 from . import __version__
 from .geometry import (
@@ -74,6 +81,11 @@ class RunConfig:
 
 # key -> (type, required, default); default None with required=False means
 # the key may be absent from params entirely.
+_GRID_KEYS = {
+    "grid_scheme": ("str", False, None),
+    "grid_count": ("int", False, None),
+    "grid_seed": ("int", False, 0),
+}
 _FAMILY_KEYS = {
     "family": ("str", True, None),
     "a": ("floatlist", False, (1.0,)),
@@ -81,9 +93,7 @@ _FAMILY_KEYS = {
     "body": ("str", False, "interval 0 1"),
     "rho": ("float", False, None),
     "growth": ("float", False, 0.0),
-    "grid_scheme": ("str", False, None),
-    "grid_count": ("int", False, None),
-    "grid_seed": ("int", False, 0),
+    **_GRID_KEYS,
 }
 
 _SCHEMAS = {
@@ -106,9 +116,7 @@ _SCHEMAS = {
                "length": ("int", True, None)},
     "hausdorff": {"body_a": ("str", True, None),
                   "body_b": ("str", True, None),
-                  "grid_scheme": ("str", False, None),
-                  "grid_count": ("int", False, None),
-                  "grid_seed": ("int", False, 0)},
+                  **_GRID_KEYS},
     "check-cond": {**_FAMILY_KEYS,
                    "family": ("str", False, None),
                    "kind": ("str", True, None),
@@ -229,11 +237,9 @@ def render_config(config: RunConfig) -> str:
 
 
 def _grid_from_params(dim: int, params: dict):
-    if dim == 1:
-        return None
     scheme = params.get("grid_scheme")
     count = params.get("grid_count")
-    if scheme is None and count is None:
+    if dim == 1 or scheme is None and count is None:
         return _default_grid(dim)
     if scheme is None or count is None:
         raise ConfigError("grid_scheme and grid_count must be given together")
@@ -256,7 +262,7 @@ def _family_from_params(params: dict):
 
 
 def _write_manifest(out: Path, config: RunConfig, outputs: list[str],
-                    grid_label: str = "-", family_label: str = "-") -> None:
+                    grid_label: str, family_label: str) -> None:
     digest = hashlib.sha256(render_config(config).encode("utf-8")).hexdigest()
     lines = [
         f"command = {config.command}",
@@ -270,102 +276,90 @@ def _write_manifest(out: Path, config: RunConfig, outputs: list[str],
     (out / "manifest.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _cmd_wlln(config: RunConfig, out: Path, threads: int, strict: bool) -> int:
-    family = _family_from_params(config.params)
-    run_cfg = WllnConfig(family, tuple(config.params["n_grid"]),
-                         config.params["epsilon"], config.params["replications"],
-                         SeedSpec(config.master_seed))
-    report = run_wlln(run_cfg, threads=threads,
-                      enforce_variance_condition=config.params["enforce_condition"])
-    write_wlln_detail_csv(report, out / "wlln_detail.csv")
-    write_wlln_summary_csv(report, out / "wlln_summary.csv")
-    plots = write_plot_series(plot_series(report), out)
-    outputs = ["wlln_detail.csv", "wlln_summary.csv", "manifest.txt"] + plots
-    _write_manifest(out, config, outputs, report.metadata["grid"],
-                    report.metadata["family"])
-    for row in report.rows:
-        bound = f" bound={row.bound:.6g}" if row.bound is not None else ""
-        ok = "" if row.bound_ok is None else f" ok={'yes' if row.bound_ok else 'NO'}"
-        print(f"n={row.n} mean_d_h={row.mean_value:.6g} "
-              f"exceedance={row.exceed_freq:.6g}{bound}{ok}")
-    if strict and any(row.bound_ok is False for row in report.rows):
-        bad = [row.n for row in report.rows if row.bound_ok is False]
-        print(f"strict: exceedance above analytic bound at n={bad}", file=sys.stderr)
-        return EXIT_STRICT_FAILURE
-    return EXIT_OK
+class Outcome(NamedTuple):
+    """What one command step hands back to :func:`dispatch`."""
+
+    files: list[str]  # written to the output directory, the manifest aside
+    grid: str  # the manifest's grid and family labels
+    family: str
+    stdout: str
+    failure: str | None  # why --strict fails the run, or None when it passes
 
 
-def _cmd_slln(config: RunConfig, out: Path, threads: int, strict: bool) -> int:
-    family = _family_from_params(config.params)
-    run_cfg = SllnConfig(family, config.params["max_n"], config.params["paths"],
-                         SeedSpec(config.master_seed),
-                         checkpoints=config.params.get("checkpoints"),
-                         threshold=config.params["threshold"],
-                         median_window=config.params["median_window"])
-    report = run_slln(run_cfg, threads=threads)
-    write_slln_detail_csv(report, out / "slln_detail.csv")
-    write_slln_summary_csv(report, out / "slln_summary.csv")
-    plots = write_plot_series(plot_series(report), out)
-    outputs = ["slln_detail.csv", "slln_summary.csv", "manifest.txt"] + plots
-    _write_manifest(out, config, outputs, report.metadata["grid"],
-                    report.metadata["family"])
-    final = report.rows[-1]
-    print(f"final n={final.n} mean_s_n_over_n={final.mean_value:.6g} "
-          f"max={final.max_value:.6g} paths_passed={report.metadata['paths_passed']}")
-    if strict and not bool(report.detail["path_pass"].all()):
-        print(f"strict: {report.metadata['paths_passed']} paths passed the "
-              f"threshold/decrease check", file=sys.stderr)
-        return EXIT_STRICT_FAILURE
-    return EXIT_OK
+def _law_outcome(report, out: Path, write_detail, write_summary, stdout: str,
+                 failure: str | None) -> Outcome:
+    """Write a weak- or strong-law report's detail, summary and plot files."""
+    files = [f"{report.kind}_detail.csv", f"{report.kind}_summary.csv"]
+    write_detail(report, out / files[0])
+    write_summary(report, out / files[1])
+    files += write_plot_series(plot_series(report), out)
+    return Outcome(files, report.metadata["grid"], report.metadata["family"], stdout,
+                   failure)
 
 
-def _cmd_test_uncorr(config: RunConfig, out: Path, threads: int, strict: bool) -> int:
-    family = _family_from_params(config.params)
+def _cmd_wlln(config: RunConfig, family, out: Path, threads: int) -> Outcome:
+    p = config.params
+    report = run_wlln(WllnConfig(family, p["n_grid"], p["epsilon"], p["replications"],
+                                 SeedSpec(config.master_seed)),
+                      threads=threads, enforce_variance_condition=p["enforce_condition"])
+    stdout = "\n".join(
+        f"n={row.n} mean_d_h={row.mean_value:.6g} exceedance={row.exceed_freq:.6g}"
+        + ("" if row.bound is None else f" bound={row.bound:.6g}")
+        + ("" if row.bound_ok is None else f" ok={'yes' if row.bound_ok else 'NO'}")
+        for row in report.rows)
+    bad = [row.n for row in report.rows if row.bound_ok is False]
+    return _law_outcome(report, out, write_wlln_detail_csv, write_wlln_summary_csv, stdout,
+                        f"exceedance above analytic bound at n={bad}" if bad else None)
+
+
+def _cmd_slln(config: RunConfig, family, out: Path, threads: int) -> Outcome:
+    p = config.params
+    report = run_slln(SllnConfig(family, p["max_n"], p["paths"], SeedSpec(config.master_seed),
+                                 checkpoints=p.get("checkpoints"), threshold=p["threshold"],
+                                 median_window=p["median_window"]),
+                      threads=threads)
+    final, passed = report.rows[-1], report.metadata["paths_passed"]
+    failed = not report.detail["path_pass"].all()
+    return _law_outcome(report, out, write_slln_detail_csv, write_slln_summary_csv,
+                        f"final n={final.n} mean_s_n_over_n={final.mean_value:.6g} "
+                        f"max={final.max_value:.6g} paths_passed={passed}",
+                        f"{passed} paths passed the threshold/decrease check"
+                        if failed else None)
+
+
+def _cmd_test_uncorr(config: RunConfig, family, out: Path, threads: int) -> Outcome:
     length = config.params["length"]
     reps = [family.sample(length, SeedSpec(config.master_seed, r))
             for r in range(config.params["replications"])]
-    grid = None if family.dim == 1 else family.grid
-    verdict = test_uncorrelated(reps, grid, config.params["significance"])
+    verdict = test_uncorrelated(reps, family.grid, config.params["significance"])
     write_verdict_csv(verdict, out / "uncorrelation.csv")
-    _write_manifest(out, config, ["uncorrelation.csv", "manifest.txt"],
-                    family.grid.label, family.describe(length))
-    print(f"verdict={verdict.verdict} max_abs_corr={verdict.max_abs_corr:.6g} "
-          f"threshold={verdict.threshold:.6g}")
-    if strict and verdict.verdict == "rejected":
-        print("strict: uncorrelation rejected", file=sys.stderr)
-        return EXIT_STRICT_FAILURE
-    return EXIT_OK
+    return Outcome(["uncorrelation.csv"], family.grid.label, family.describe(length),
+                   f"verdict={verdict.verdict} max_abs_corr={verdict.max_abs_corr:.6g} "
+                   f"threshold={verdict.threshold:.6g}",
+                   "uncorrelation rejected" if verdict.verdict == "rejected" else None)
 
 
-def _cmd_sample(config: RunConfig, out: Path, threads: int, strict: bool) -> int:
-    family = _family_from_params(config.params)
+def _cmd_sample(config: RunConfig, family, out: Path, threads: int) -> Outcome:
     sample = family.sample(config.params["length"], SeedSpec(config.master_seed))
     write_set_sample(sample, out / "sample.txt")
-    _write_manifest(out, config, ["sample.txt", "manifest.txt"],
-                    family.grid.label, family.describe(len(sample)))
-    print(f"wrote {len(sample)} bodies to {out / 'sample.txt'}")
-    return EXIT_OK
+    return Outcome(["sample.txt"], family.grid.label, family.describe(len(sample)),
+                   f"wrote {len(sample)} bodies to {out / 'sample.txt'}", None)
 
 
-def _cmd_hausdorff(config: RunConfig, out: Path, threads: int, strict: bool) -> int:
+def _cmd_hausdorff(config: RunConfig, family, out: Path, threads: int) -> Outcome:
     body_a = parse_body(config.params["body_a"])
     body_b = parse_body(config.params["body_b"])
     grid = _grid_from_params(body_a.dim, config.params)
     value = hausdorff_distance(body_a, body_b, grid)
-    _write_manifest(out, config, ["manifest.txt"],
-                    grid.label if grid is not None else "exact1d count=2")
-    print(repr(float(value)))
-    return EXIT_OK
+    return Outcome([], grid.label, "-", repr(float(value)), None)
 
 
-def _cmd_check_cond(config: RunConfig, out: Path, threads: int, strict: bool) -> int:
+def _cmd_check_cond(config: RunConfig, family, out: Path, threads: int) -> Outcome:
     params = config.params
     if params.get("variances") is not None:
-        grid = make_direction_grid(1, 2, "exact1d")
-        schedule = VarianceSchedule(grid, list(params["variances"]))
+        schedule = VarianceSchedule(_default_grid(1), list(params["variances"]))
         family_label = "explicit variances"
     else:
-        family = _family_from_params(params)
         schedule = VarianceSchedule.from_family(family, params["length"])
         family_label = family.describe(params["length"])
     result = evaluate_variance_condition(
@@ -375,14 +369,11 @@ def _cmd_check_cond(config: RunConfig, out: Path, threads: int, strict: bool) ->
         fh.write("n,value\n")
         for i, v in enumerate(result.trajectory, start=1):
             fh.write(f"{i},{float(v)!r}\n")
-    _write_manifest(out, config, ["condition.csv", "manifest.txt"],
-                    schedule.grid.label, family_label)
-    print(f"kind={result.kind} satisfied={'yes' if result.satisfied else 'no'} "
-          f"({result.note})")
-    if strict and not result.satisfied:
-        print(f"strict: variance condition {result.kind} not satisfied", file=sys.stderr)
-        return EXIT_STRICT_FAILURE
-    return EXIT_OK
+    return Outcome(["condition.csv"], schedule.grid.label, family_label,
+                   f"kind={result.kind} satisfied={'yes' if result.satisfied else 'no'} "
+                   f"({result.note})",
+                   None if result.satisfied else
+                   f"variance condition {result.kind} not satisfied")
 
 
 _COMMANDS = {
@@ -397,10 +388,18 @@ _COMMANDS = {
 
 def dispatch(config: RunConfig, out_dir: str | None = None, threads: int = 1,
              strict: bool = False) -> int:
-    """Run one command; write its CSVs and manifest; return an exit code."""
+    """Run one command; write its files and manifest; return an exit code."""
     out = Path(out_dir if out_dir is not None else config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    return _COMMANDS[config.command](config, out, threads, strict)
+    family = _family_from_params(config.params) if "family" in config.params else None
+    result = _COMMANDS[config.command](config, family, out, threads)
+    _write_manifest(out, config, result.files + ["manifest.txt"], result.grid,
+                    result.family)
+    print(result.stdout)
+    if strict and result.failure is not None:
+        print(f"strict: {result.failure}", file=sys.stderr)
+        return EXIT_STRICT_FAILURE
+    return EXIT_OK
 
 
 def _resolve_threads(flag: int | None) -> int:

@@ -91,10 +91,6 @@ class Direction:
         return Direction(tuple(-c for c in self.components))
 
 
-PLUS_ONE = Direction((1.0,))
-MINUS_ONE = Direction((-1.0,))
-
-
 class DirectionGrid:
     """Finite duplicate-free set of directions discretizing the unit sphere.
 
@@ -276,7 +272,7 @@ def make_direction_grid(dim: int, count: int, scheme: str, seed: int = 0) -> Dir
     if scheme == "exact1d":
         if dim != 1:
             raise GeometryError("scheme exact1d requires dim 1")
-        return DirectionGrid((PLUS_ONE, MINUS_ONE), label="exact1d count=2")
+        return DirectionGrid((Direction((1.0,)), Direction((-1.0,))), label="exact1d count=2")
     if dim == 1:
         raise GeometryError("dim 1 supports only the exact1d scheme")
     if count % 2 != 0:
@@ -708,9 +704,8 @@ def hausdorff_distance(a: ConvexBody, b: ConvexBody,
     if a.dim != b.dim:
         raise GeometryError(f"dimension mismatch: {a.dim} vs {b.dim}")
     if a.dim == 1:
-        return max(abs(support_function(a, PLUS_ONE) - support_function(b, PLUS_ONE)),
-                   abs(support_function(a, MINUS_ONE) - support_function(b, MINUS_ONE)))
-    if grid is None:
+        grid = _default_grid(1)
+    elif grid is None:
         if isinstance(a, Embedded) and isinstance(b, Embedded) and a.grid == b.grid:
             grid = a.grid
         else:

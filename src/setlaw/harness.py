@@ -38,13 +38,6 @@ class HarnessError(ValueError):
     """Invalid experiment configuration or unusable family."""
 
 
-def _check_config_grid(grid, family) -> None:
-    # the same grid must serve both the metric and the variance schedule,
-    # so an explicitly configured grid may only restate the family's own
-    if grid is not None and grid != family.grid:
-        raise HarnessError("config grid must match the family's direction grid")
-
-
 @dataclass(frozen=True)
 class WllnConfig:
     family: object
@@ -52,7 +45,6 @@ class WllnConfig:
     epsilon: float
     replications: int
     seed: SeedSpec
-    grid: object | None = None  # must equal the family's own direction grid
 
     def __post_init__(self):
         lengths = tuple(int(n) for n in self.n_grid)
@@ -65,7 +57,6 @@ class WllnConfig:
             raise HarnessError("epsilon must be > 0")
         if not 100 <= self.replications < _MAX_REPLICATIONS:
             raise HarnessError(f"replications must be in [100, {_MAX_REPLICATIONS})")
-        _check_config_grid(self.grid, self.family)
 
 
 @dataclass(frozen=True)
@@ -77,18 +68,14 @@ class SllnConfig:
     checkpoints: tuple[int, ...] | None = None
     threshold: float = 0.05
     median_window: int = 5
-    grid: object | None = None  # must equal the family's own direction grid
 
     def __post_init__(self):
-        _check_config_grid(self.grid, self.family)
         if self.max_n < 4:
             raise HarnessError("max_n must be >= 4")
         if not 1 <= self.paths < _MAX_REPLICATIONS:
             raise HarnessError(f"paths must be in [1, {_MAX_REPLICATIONS})")
         if not self.threshold > 0.0:
             raise HarnessError("threshold must be > 0")
-        if self.median_window < 1:
-            raise HarnessError("median_window must be >= 1")
         squares = [m * m for m in range(1, math.isqrt(self.max_n) + 1)]
         if self.checkpoints is None:
             cps = sorted(set(squares) | {self.max_n})
@@ -101,6 +88,10 @@ class SllnConfig:
             missing = sorted(set(squares) - set(cps))
             if missing:
                 raise HarnessError(f"checkpoints missing required squares {missing[:5]}")
+        # the first and last median windows must not overlap
+        if not 1 <= self.median_window <= len(cps) // 2:
+            raise HarnessError(f"median_window must be in [1, {len(cps) // 2}], "
+                               f"half of the {len(cps)} checkpoints")
         object.__setattr__(self, "checkpoints", tuple(cps))
 
 
@@ -252,8 +243,8 @@ def _eventually_decreasing(s_over: np.ndarray, window: int) -> np.ndarray:
     The raw ratio fluctuates and dips toward zero mid-path, so requiring a
     pathwise-monotone tail would reject genuinely converging paths; instead
     the windowed median must end at no more than half its starting level.
-    A series shorter than the window has one median (both slices take it
-    all), compared with itself.
+    ``SllnConfig`` keeps the window to at most half the series, so the
+    first and last windows are disjoint.
     """
     first = np.median(s_over[:, :window], axis=1)
     last = np.median(s_over[:, -window:], axis=1)

@@ -29,10 +29,10 @@ from .geometry import (
     Interval,
     embed,
     format_body,
-    make_direction_grid,
     parse_body,
     scalar_mul,
     DirectionGrid,
+    _default_grid,
 )
 
 _U64 = 1 << 64
@@ -355,9 +355,6 @@ def make_generic_family(body_template: ConvexBody, scalar_process: str, count: i
 # ---------------------------------------------------------------------------
 
 
-_EXACT_1D = make_direction_grid(1, 2, "exact1d")
-
-
 @lru_cache(maxsize=64)
 def _interval_spec(axes_pattern: tuple[float, ...], d: int,
                    clamp: bool) -> EllipsoidFamilySpec:
@@ -400,7 +397,7 @@ class EllipsoidIntervalFamily:
 
     @property
     def grid(self) -> DirectionGrid:
-        return _EXACT_1D
+        return _default_grid(1)
 
     @property
     def tag(self) -> str:
@@ -483,7 +480,7 @@ class DeterministicFamily:
 
     @property
     def grid(self) -> DirectionGrid:
-        return self.direction_grid if self.direction_grid is not None else _EXACT_1D
+        return self.direction_grid if self.direction_grid is not None else _default_grid(1)
 
     @property
     def tag(self) -> str:
@@ -551,7 +548,7 @@ class ScaledTemplateFamily:
 
     @property
     def grid(self) -> DirectionGrid:
-        return self.direction_grid if self.direction_grid is not None else _EXACT_1D
+        return self.direction_grid if self.direction_grid is not None else _default_grid(1)
 
     @property
     def tag(self) -> str:

@@ -33,8 +33,9 @@ from .geometry import (
     support_function,
     support_values,
     Direction,
+    _default_grid,
 )
-from .sampling import _EXACT_1D, SetSample
+from .sampling import SetSample
 
 
 class StatsError(ValueError):
@@ -176,6 +177,17 @@ def empirical_support_covariance(samples_a: Sequence[ConvexBody],
     return float(_covariance(x - x.mean(), y - y.mean()))
 
 
+def _sample_grid(dim: int, grid: DirectionGrid | None) -> DirectionGrid:
+    """``grid`` checked against ``dim``; without one, the exact grid of dimension 1."""
+    if grid is None:
+        if dim != 1:
+            raise StatsError("a direction grid is required for dimension >= 2")
+        return _default_grid(1)
+    if grid.dim != dim:
+        raise StatsError("grid dimension must match the sample")
+    return grid
+
+
 def _support_tensor(replications: Sequence[SetSample],
                     grid: DirectionGrid | None) -> tuple[np.ndarray, DirectionGrid]:
     """(R, L, m) support values of R replications of a length-L sequence."""
@@ -186,12 +198,7 @@ def _support_tensor(replications: Sequence[SetSample],
     dim = reps[0].dim
     if any(len(r) != length or r.dim != dim for r in reps):
         raise StatsError("replications must share length and dimension")
-    if grid is None:
-        if dim != 1:
-            raise StatsError("a direction grid is required for dimension >= 2")
-        grid = _EXACT_1D
-    if grid.dim != dim:
-        raise StatsError("grid dimension must match the sample")
+    grid = _sample_grid(dim, grid)
     tensor = np.empty((len(reps), length, len(grid)))
     for r, rep in enumerate(reps):
         for k, body in enumerate(rep.bodies):
@@ -287,12 +294,7 @@ def aumann_mean_estimate(sample: SetSample,
     The support vector is the arithmetic mean of per-draw support vectors,
     which equals the embedded average exactly by support additivity.
     """
-    if grid is None:
-        if sample.dim != 1:
-            raise StatsError("a direction grid is required for dimension >= 2")
-        grid = _EXACT_1D
-    if grid.dim != sample.dim:
-        raise StatsError("grid dimension must match the sample")
+    grid = _sample_grid(sample.dim, grid)
     rows = np.stack([embed(b, grid).values for b in sample.bodies])
     return Embedded(SupportVector(grid, rows.mean(axis=0)))
 

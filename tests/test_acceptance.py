@@ -191,6 +191,19 @@ def test_criterion_6_slln_paths():
             f"{ib_final.max():.4f} < 0.05, runtime={elapsed:.1f}s < 120s")
 
 
+def test_criterion_6_negative_control_path_check_can_fail():
+    # an AR(1) chain with rho = 0.99 has bounded variances, so both
+    # variance checks pass and the run is not refused; its paths still
+    # wander far longer than 400 steps, and most fail the path check
+    family = ScaledTemplateFamily(Interval(0.0, 4.0), "ar1", rho=0.99)
+    report = run_slln(SllnConfig(family, 400, 16, SeedSpec(1)))
+    checks_ok = "fail" not in report.metadata["variance_checks"]
+    passed = int(report.detail["path_pass"].sum())
+    _report(checks_ok and passed < 16,
+            f"criterion 6 negative control: ar1 rho=0.99 passes the variance checks "
+            f"(ok={checks_ok}) and fails the path check on {16 - passed} of 16 paths")
+
+
 # -- criterion 7: variance-condition evaluator ----------------------------------------
 
 def test_criterion_7_variance_conditions():

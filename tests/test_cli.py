@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from setlaw.cli import (
+    _COMMANDS,
     ConfigError,
     EXIT_OK,
     EXIT_STRICT_FAILURE,
@@ -194,19 +195,45 @@ def test_check_cond_command(capsys, tmp_path):
     assert len(lines) == 9
 
 
-def test_strict_flags_failure_exits_nonzero(capsys, tmp_path):
+STRICT_FAILURES = {
     # correlated growing family: exceedances blow past the uncorrelated bound
-    text = ("command = wlln\nseed = 2\nfamily = scaled_ar1\nbody = interval 0 4\n"
+    "wlln": "command = wlln\nseed = 2\nfamily = scaled_ar1\nbody = interval 0 4\n"
             "rho = 0.9\ngrowth = 0.5\nn_grid = 100,400\nepsilon = 0.4\n"
-            "replications = 120\nenforce_condition = false\n")
-    config = parse_config(text)
-    assert dispatch(config, out_dir=str(tmp_path)) == EXIT_OK  # not strict
-    assert dispatch(config, out_dir=str(tmp_path), strict=True) == EXIT_STRICT_FAILURE
+            "replications = 120\nenforce_condition = false\n",
+    # bounded variances pass both variance checks, yet most paths fail
+    "slln": "command = slln\nseed = 1\nfamily = scaled_ar1\nbody = interval 0 4\n"
+            "rho = 0.99\nmax_n = 400\npaths = 16\n",
+    "test-uncorr": "command = test-uncorr\nseed = 1\nfamily = scaled_ar1\n"
+                   "body = interval 0 1\nrho = 0.9\nlength = 4\nreplications = 400\n",
+    "check-cond": "command = check-cond\nkind = wlln_eq4\nvariances = 1,1,1\n",
+}
+
+
+@pytest.mark.parametrize("command", sorted(STRICT_FAILURES))
+def test_strict_flags_failure_exits_nonzero(command, capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(STRICT_FAILURES[command])
+    args = ["--config", str(cfg), "--out", str(tmp_path / "o"), "--threads", "1"]
+    assert main(args) == EXIT_OK  # not strict
+    assert capsys.readouterr().err == ""
+    assert main(args + ["--strict"]) == EXIT_STRICT_FAILURE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("strict: "), err
 
 
 def test_strict_ok_run_exits_zero(tmp_path):
-    config = parse_config(WLLN_TEXT)
-    assert dispatch(config, out_dir=str(tmp_path), strict=True) == EXIT_OK
+    # sample and hausdorff have no acceptance check, so strict never fails them
+    for text in (WLLN_TEXT,
+                 "command = sample\nfamily = scaled_ar1\nrho = 0.99\nlength = 5\n",
+                 "command = hausdorff\nbody_a = interval 0 1\nbody_b = interval 2 5\n"):
+        config = parse_config(text)
+        assert dispatch(config, out_dir=str(tmp_path), strict=True) == EXIT_OK
+
+
+def test_every_command_has_a_golden_case():
+    from test_golden import CASES, CONFIGS
+    pinned = {parse_config(CONFIGS[name]).command for name, _ in CASES}
+    assert set(_COMMANDS) <= pinned, sorted(set(_COMMANDS) - pinned)
 
 
 # -- process-level behavior ---------------------------------------------------------
@@ -270,6 +297,15 @@ def test_cli_error_is_one_line(tmp_path):
     assert result.returncode == 1
     assert "epsilon" in result.stderr
     assert len(result.stderr.strip().splitlines()) == 1
+
+
+def test_overlapping_median_windows_are_one_line_error(tmp_path, capsys):
+    # max_n = 400 gives 20 checkpoints, so windows above 10 would overlap
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SLLN_TEXT + "median_window = 11\n")
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("setlaw: ") and "median_window" in err[0]
 
 
 def test_bad_threads_env_is_one_line_error(tmp_path, monkeypatch, capsys):

@@ -41,18 +41,6 @@ def test_wlln_config_validation():
         WllnConfig(fam, (10, 100), 0.5, 50, SEED)
 
 
-def test_config_grid_must_restate_family_grid():
-    from setlaw import make_direction_grid
-    fam = EllipsoidIntervalFamily((1.0,))
-    ok = WllnConfig(fam, (10,), 0.5, 100, SEED, grid=fam.grid)
-    assert ok.grid == fam.grid
-    other = make_direction_grid(2, 8, "uniform_angles_2d")
-    with pytest.raises(HarnessError, match="grid"):
-        WllnConfig(fam, (10,), 0.5, 100, SEED, grid=other)
-    with pytest.raises(HarnessError, match="grid"):
-        SllnConfig(fam, 100, 2, SEED, grid=other)
-
-
 def test_slln_config_checkpoints():
     fam = EllipsoidIntervalFamily((1.0,), block_dim=4)
     cfg = SllnConfig(fam, 100, 2, SEED)
@@ -63,6 +51,16 @@ def test_slln_config_checkpoints():
         SllnConfig(fam, 100, 2, SEED, checkpoints=(1, 4, 9, 100))
     with pytest.raises(HarnessError):
         SllnConfig(fam, 100, 2, SEED, checkpoints=squares + (200,))
+
+
+def test_slln_median_windows_must_not_overlap():
+    # 20 checkpoints: windows of 10 split them, a window of 11 shares one
+    fam = EllipsoidIntervalFamily((1.0,), block_dim=4)
+    assert len(SllnConfig(fam, 400, 8, SeedSpec(3), median_window=10).checkpoints) == 20
+    with pytest.raises(HarnessError, match="median_window must be in \\[1, 10\\]"):
+        SllnConfig(fam, 400, 8, SeedSpec(3), median_window=11)
+    with pytest.raises(HarnessError, match="median_window"):
+        SllnConfig(fam, 400, 8, SeedSpec(3), median_window=0)
 
 
 # -- weak law --------------------------------------------------------------------
@@ -329,7 +327,7 @@ def _reference_slln_chunk(args):
 def _chunk_args(family, max_n, window, checkpoints=None, threshold=0.05):
     squares = tuple(range(1, math.isqrt(max_n) + 1))
     if checkpoints is None:
-        checkpoints = SllnConfig(family, max_n, 1, SEED).checkpoints
+        checkpoints = SllnConfig(family, max_n, 1, SEED, median_window=1).checkpoints
     return (family, max_n, 31, 3, 7, tuple(checkpoints), squares, threshold, window)
 
 
@@ -355,7 +353,7 @@ def _box_family_256():
 ], ids=["ellipsoid-interval", "deterministic", "box2d-256"])
 @pytest.mark.parametrize("max_n", [4, 5, 10, 99, 400, 2500])
 def test_slln_chunk_matches_reference_loop(family, max_n):
-    n_checkpoints = len(SllnConfig(family, max_n, 1, SEED).checkpoints)
+    n_checkpoints = len(SllnConfig(family, max_n, 1, SEED, median_window=1).checkpoints)
     for window in (1, 4, 5, n_checkpoints + 3):
         # a high threshold lets the median certificate decide path_pass
         for threshold in (0.05, 10.0):
