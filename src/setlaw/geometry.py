@@ -53,6 +53,28 @@ def _row_blocks(rows: int, width: int) -> Iterator[slice]:
         yield slice(start, min(rows, start + step))
 
 
+def _unit_rows(rows) -> np.ndarray:
+    """Read-only float copy of the (m, d) ``rows``, each finite and of unit norm.
+
+    The one rule for directions: a :class:`Direction` is its single row, a
+    :class:`DirectionGrid` its matrix.  Norms may be off 1 by NORM_TOL.
+    """
+    try:
+        m = np.array(rows, dtype=float)
+    except ValueError as exc:
+        raise GeometryError(f"directions must share one dimension: {exc}") from exc
+    if m.ndim != 2 or m.shape[1] < 1:
+        raise GeometryError("direction needs at least one component")
+    if not np.isfinite(m).all():
+        raise GeometryError("direction components must be finite")
+    norms = np.linalg.norm(m, axis=1)
+    off = np.abs(norms - 1.0) > NORM_TOL
+    if off.any():
+        raise GeometryError(f"direction norm {float(norms[off][0])!r} is not 1 within {NORM_TOL}")
+    m.setflags(write=False)
+    return m
+
+
 @dataclass(frozen=True)
 class Direction:
     """Unit vector in R^d used to probe support functions."""
@@ -62,13 +84,7 @@ class Direction:
     def __post_init__(self):
         comps = tuple(float(c) for c in self.components)
         object.__setattr__(self, "components", comps)
-        if len(comps) < 1:
-            raise GeometryError("direction needs at least one component")
-        if not all(math.isfinite(c) for c in comps):
-            raise GeometryError("direction components must be finite")
-        norm = math.hypot(*comps)
-        if abs(norm - 1.0) > NORM_TOL:
-            raise GeometryError(f"direction norm {norm!r} is not 1 within {NORM_TOL}")
+        _unit_rows([comps])
 
     @classmethod
     def unit(cls, vector) -> "Direction":
@@ -94,6 +110,11 @@ class Direction:
 class DirectionGrid:
     """Finite duplicate-free set of directions discretizing the unit sphere.
 
+    The grid is its read-only (count, dim) matrix of unit rows, given as
+    :class:`Direction` objects or as rows (any sequence, or an array);
+    equality, hashing and every numeric operation read that matrix.  The
+    :attr:`directions` view builds one Direction per row on first use.
+
     For dim 1 the grid must be exactly {+1, -1}; that case is an exact
     description of the sphere rather than a discretization.  Antipodal
     closure (every u accompanied by -u) is detected at construction and
@@ -101,26 +122,21 @@ class DirectionGrid:
     scalar multiples of embedded bodies.
     """
 
-    def __init__(self, directions: Sequence[Direction], label: str | None = None):
-        dirs = tuple(directions)
-        if not dirs:
+    def __init__(self, directions: Sequence[Direction] | np.ndarray, label: str | None = None):
+        rows = directions if isinstance(directions, np.ndarray) else \
+            [d.components if isinstance(d, Direction) else d for d in directions]
+        if len(rows) == 0:
             raise GeometryError("direction grid must be nonempty")
-        dim = dirs[0].dim
-        if any(d.dim != dim for d in dirs):
-            raise GeometryError("all grid directions must share one dimension")
-        self._directions = dirs
-        self._dim = dim
-        self._matrix = _readonly([d.components for d in dirs])
-        self.label = label or f"custom dim={dim} count={len(dirs)}"
+        m = self._matrix = _unit_rows(rows)
+        count, dim = m.shape
+        self.label = label or f"custom dim={dim} count={count}"
         dupes, antipodes = self._angular_pairs() if dim == 2 else self._gram_pairs()
         if len(dupes):
             i, j = min(dupes.tolist())
             raise GeometryError(f"grid directions {i} and {j} coincide within {DUPLICATE_TOL}")
         self._antipode_index = None if np.any(antipodes < 0) else _readonly(antipodes, int)
-        if dim == 1:
-            comps = sorted(d.components[0] for d in dirs)
-            if len(dirs) != 2 or comps != [-1.0, 1.0]:
-                raise GeometryError("a one-dimensional grid must be exactly {+1, -1}")
+        if dim == 1 and np.sort(m[:, 0]).tolist() != [-1.0, 1.0]:
+            raise GeometryError("a one-dimensional grid must be exactly {+1, -1}")
 
     # -- neighbour structure -------------------------------------------------
 
@@ -200,11 +216,12 @@ class DirectionGrid:
 
     @property
     def dim(self) -> int:
-        return self._dim
+        return self._matrix.shape[1]
 
-    @property
+    @cached_property
     def directions(self) -> tuple[Direction, ...]:
-        return self._directions
+        """One Direction per matrix row, built on first use."""
+        return tuple(Direction(tuple(row)) for row in self._matrix.tolist())
 
     @property
     def matrix(self) -> np.ndarray:
@@ -222,25 +239,26 @@ class DirectionGrid:
         return self._antipode_index
 
     def __len__(self) -> int:
-        return len(self._directions)
+        return len(self._matrix)
 
     def __iter__(self) -> Iterator[Direction]:
-        return iter(self._directions)
+        return iter(self.directions)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DirectionGrid):
             return NotImplemented
-        return self._directions == other._directions
+        return self is other or bool(np.array_equal(self._matrix, other._matrix))
 
     def __hash__(self) -> int:
-        return hash(self._directions)
+        # + 0.0 turns -0.0 into 0.0, so grids that compare equal hash equal
+        return hash((self._matrix + 0.0).tobytes())
 
     def __repr__(self) -> str:
         return f"DirectionGrid({self.label})"
 
     def index_of(self, u: Direction, tol: float = DUPLICATE_TOL) -> int | None:
         """Index of the grid direction matching u within chordal tol, else None."""
-        if u.dim != self._dim:
+        if u.dim != self.dim:
             return None
         idx, hit = self._nearest(u.vector[None, :], tol)
         return int(idx[0]) if hit[0] else None
@@ -263,16 +281,18 @@ def make_direction_grid(dim: int, count: int, scheme: str, seed: int = 0) -> Dir
     plus antipodes), ``seeded_random`` (dim >= 2, normalized Gaussian
     directions plus antipodes, deterministic in ``seed``).  For antipodal
     schemes ``count`` must be even: count/2 directions are generated and
-    their exact negations appended.
+    their exact negations appended.  ``seed`` must be >= 0 for every scheme.
     """
     if dim < 1:
         raise GeometryError("dim must be >= 1")
     if count < 2:
         raise GeometryError("count must be >= 2")
+    if seed < 0:
+        raise GeometryError(f"grid seed must be >= 0, not {seed}")
     if scheme == "exact1d":
         if dim != 1:
             raise GeometryError("scheme exact1d requires dim 1")
-        return DirectionGrid((Direction((1.0,)), Direction((-1.0,))), label="exact1d count=2")
+        return DirectionGrid(np.array([[1.0], [-1.0]]), label="exact1d count=2")
     if dim == 1:
         raise GeometryError("dim 1 supports only the exact1d scheme")
     if count % 2 != 0:
@@ -310,9 +330,7 @@ def make_direction_grid(dim: int, count: int, scheme: str, seed: int = 0) -> Dir
         label = f"seeded_random count={count} seed={seed}"
     else:
         raise GeometryError(f"unknown grid scheme {scheme!r}")
-    dirs = [Direction(tuple(p)) for p in pts]
-    dirs += [d.negated() for d in dirs]
-    return DirectionGrid(dirs, label=label)
+    return DirectionGrid(np.concatenate([pts, -pts]), label=label)
 
 
 # ---------------------------------------------------------------------------

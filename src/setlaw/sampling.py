@@ -325,6 +325,25 @@ def _scalar_process(process: str, count: int, rng: np.random.Generator,
     return _scalar_block(process, count, _restartable(rng), 1, rho, ellipsoid)[0]
 
 
+def _growth_factors(growth: float, n: int) -> np.ndarray:
+    """g_k = k**growth for k = 1..n.
+
+    A non-finite ``growth``, or one whose g_n**2 (the variance factor)
+    overflows, is an error rather than a run on inf or nan values.
+    """
+    if not math.isfinite(growth):
+        raise FamilyError(f"growth must be finite, not {growth!r}")
+    if not growth:
+        return np.ones(n)
+    with np.errstate(over="ignore"):
+        g = np.arange(1, n + 1) ** float(growth)
+        peak = g.max() ** 2
+    if not np.isfinite(peak):
+        raise FamilyError(f"growth {growth!r} overflows: k**growth squared is not finite "
+                          f"for k up to n = {n}")
+    return g
+
+
 def make_generic_family(body_template: ConvexBody, scalar_process: str, count: int,
                         seed: SeedSpec, *, rho: float | None = None,
                         ellipsoid: EllipsoidFamilySpec | None = None,
@@ -337,9 +356,8 @@ def make_generic_family(body_template: ConvexBody, scalar_process: str, count: i
     """
     if count < 1:
         raise FamilyError("count must be >= 1")
-    c = _scalar_process(scalar_process, count, seed.generator(), rho, ellipsoid)
-    if growth:
-        c = c * np.arange(1, count + 1) ** float(growth)
+    c = _scalar_process(scalar_process, count, seed.generator(), rho, ellipsoid) \
+        * _growth_factors(growth, count)
     if np.any(c < 0.0):
         k = int(np.argmax(c < 0.0))
         raise FamilyError(f"scalar process produced negative scale c_{k} = {c[k]!r}")
@@ -461,26 +479,34 @@ class EllipsoidIntervalFamily:
         return make_interval_family(self._spec_for(count), count, seed)
 
 
+class _OnGrid:
+    """Support columns on ``direction_grid``; without one, on {+1, -1} (dimension 1 only)."""
+
+    def _check_grid(self) -> None:
+        if self.direction_grid is None:
+            if self.dim >= 2:
+                raise FamilyError(f"{type(self).__name__} of dim >= 2 needs a direction grid")
+        elif self.direction_grid.dim != self.dim:
+            raise FamilyError("grid dimension must match the family's bodies")
+
+    @property
+    def grid(self) -> DirectionGrid:
+        return self.direction_grid if self.direction_grid is not None else _default_grid(1)
+
+
 @dataclass(frozen=True)
-class DeterministicFamily:
+class DeterministicFamily(_OnGrid):
     """Constant family V_k = A for every k; all variances are zero."""
 
     body: ConvexBody
     direction_grid: DirectionGrid | None = None
 
     def __post_init__(self):
-        if self.body.dim >= 2 and self.direction_grid is None:
-            raise FamilyError("deterministic families of dim >= 2 need a direction grid")
-        if self.direction_grid is not None and self.direction_grid.dim != self.body.dim:
-            raise FamilyError("grid dimension must match the body")
+        self._check_grid()
 
     @property
     def dim(self) -> int:
         return self.body.dim
-
-    @property
-    def grid(self) -> DirectionGrid:
-        return self.direction_grid if self.direction_grid is not None else _default_grid(1)
 
     @property
     def tag(self) -> str:
@@ -517,7 +543,7 @@ class DeterministicFamily:
 
 
 @dataclass(frozen=True)
-class ScaledTemplateFamily:
+class ScaledTemplateFamily(_OnGrid):
     """V_k = g_k * c_k * template with c_k a nonnegative scalar process.
 
     ``process`` is ``iid_uniform`` or ``ar1`` (uniform innovations keep the
@@ -537,18 +563,12 @@ class ScaledTemplateFamily:
             raise FamilyError("scaled families support processes 'iid_uniform' and 'ar1'")
         if self.process == "ar1" and not 0.0 <= self.rho < 1.0:
             raise FamilyError("ar1 scaled families need 0 <= rho < 1")
-        if self.template.dim >= 2 and self.direction_grid is None:
-            raise FamilyError("scaled families of dim >= 2 need a direction grid")
-        if self.direction_grid is not None and self.direction_grid.dim != self.template.dim:
-            raise FamilyError("grid dimension must match the template")
+        _growth_factors(self.growth, 1)  # rejects a non-finite growth
+        self._check_grid()
 
     @property
     def dim(self) -> int:
         return self.template.dim
-
-    @property
-    def grid(self) -> DirectionGrid:
-        return self.direction_grid if self.direction_grid is not None else _default_grid(1)
 
     @property
     def tag(self) -> str:
@@ -564,9 +584,7 @@ class ScaledTemplateFamily:
         return embed(self.template, self.grid).values
 
     def _growth_factors(self, n: int) -> np.ndarray:
-        if not self.growth:
-            return np.ones(n)
-        return np.arange(1, n + 1) ** float(self.growth)
+        return _growth_factors(self.growth, n)
 
     def _scale_variances(self, n: int) -> np.ndarray:
         if self.process == "iid_uniform":

@@ -316,3 +316,28 @@ def test_bad_threads_env_is_one_line_error(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("setlaw: ") and "SETLAW_THREADS" in err[0]
     assert not (tmp_path / "o").exists()
+
+
+def _one_error_line(result) -> str:
+    assert result.returncode == 1
+    err = result.stderr.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("setlaw: "), result.stderr
+    return err[0]
+
+
+def test_negative_grid_seed_is_one_line_error(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("command = test-uncorr\nseed = 1\nfamily = scaled_iid\n"
+                   "body = box 2 0 0 1 1\ngrid_scheme = seeded_random\ngrid_count = 8\n"
+                   "grid_seed = -1\nlength = 3\nreplications = 100\n")
+    assert "seed" in _one_error_line(_run_cli(["--config", str(cfg), "--out",
+                                               str(tmp_path / "o")]))
+
+
+@pytest.mark.parametrize("growth", ["400", "inf", "nan", "-inf"])
+def test_bad_growth_is_one_line_error_without_warnings(growth, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("command = wlln\nseed = 1\nfamily = scaled_iid\nbody = interval 0 1\n"
+                   f"growth = {growth}\nn_grid = 10\nepsilon = 0.5\nreplications = 100\n")
+    assert "growth" in _one_error_line(_run_cli(["--config", str(cfg), "--out",
+                                                 str(tmp_path / "o")]))

@@ -3,6 +3,7 @@ import os
 import pickle
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -546,3 +547,29 @@ def test_zero_norm_rows_are_redrawn_as_before(zero_calls, axes):
         want = _reference_draw_ellipsoid(spec, 4, _ZeroRowStream(i, zero_calls if i == 1 else 0))
         assert got[i].tobytes() == want.tobytes()
     assert np.all(np.isfinite(got))
+
+
+# -- growth factors -----------------------------------------------------------------
+
+@pytest.mark.parametrize("growth", [math.inf, -math.inf, math.nan])
+def test_non_finite_growth_is_rejected(growth):
+    with pytest.raises(FamilyError, match="finite"):
+        ScaledTemplateFamily(Interval(0, 1), growth=growth)
+    with pytest.raises(FamilyError, match="finite"):
+        make_generic_family(Interval(0, 1), "iid_uniform", 5, SeedSpec(1), growth=growth)
+
+
+def test_overflowing_growth_is_an_error_not_a_warning():
+    fam = ScaledTemplateFamily(Interval(0, 1), growth=400.0)
+    # the variance factor g_k**2 = k**(2 * growth) must stay finite too:
+    # 34**200 < 1.8e308 < 35**200
+    squared = ScaledTemplateFamily(Interval(0, 1), growth=100.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert fam.variances(1).tolist() == [[1.0 / 12.0, 0.0]]
+        assert np.isfinite(squared.variances(34)).all()
+        for call, n in ((fam.variances, 10), (fam.mean_supports, 10), (squared.variances, 35)):
+            with pytest.raises(FamilyError, match="overflows"):
+                call(n)
+        with pytest.raises(FamilyError, match="overflows"):
+            make_generic_family(Interval(0, 1), "iid_uniform", 10, SeedSpec(1), growth=400.0)
