@@ -12,11 +12,13 @@ almost-sure argument rests on.
 Replications and paths are the unit of parallelism: each derives its own
 counter-based stream from (master_seed, index), and aggregation runs in a
 fixed order, so outputs are byte-identical at any worker count.
+
+This module only computes: reports and plot curves go to files through
+``setlaw.cli``, which writes every output.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 import os
 from dataclasses import dataclass, field
@@ -352,63 +354,6 @@ def run_slln(config: SllnConfig, threads: int = 1) -> ConvergenceReport:
                              detail=detail)
 
 
-# -- CSV emission ------------------------------------------------------------
-
-
-def write_wlln_detail_csv(report: ConvergenceReport, path) -> None:
-    if report.kind != "wlln":
-        raise HarnessError("detail format n,replication,... is for weak-law reports")
-    bounds = {row.n: row.bound for row in report.rows}
-    eps = report.epsilon
-    etxt = repr(eps)
-    # the rows csv.writer would write (no field needs quoting), built directly
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("n,replication,d_h,epsilon,exceeded,bound\r\n")
-        for n in sorted(report.detail):
-            btxt = repr(bounds[n]) if bounds[n] is not None else ""
-            fh.writelines(f"{n},{r},{d!r},{etxt},{int(d > eps)},{btxt}\r\n"
-                          for r, d in enumerate(report.detail[n].tolist()))
-
-
-def write_wlln_summary_csv(report: ConvergenceReport, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "mean_d_h", "max_d_h", "exceedance", "bound", "bound_ok"])
-        for row in report.rows:
-            writer.writerow([row.n, repr(row.mean_value), repr(row.max_value),
-                             repr(row.exceed_freq),
-                             repr(row.bound) if row.bound is not None else "",
-                             "" if row.bound_ok is None else int(row.bound_ok)])
-
-
-def write_slln_detail_csv(report: ConvergenceReport, path) -> None:
-    if report.kind != "slln":
-        raise HarnessError("detail format path,n,... is for strong-law reports")
-    d = report.detail
-    square_col = {m * m: j for j, m in enumerate(d["squares"].tolist())}
-    cps = d["checkpoints"].tolist()
-    # -1 points at the empty interblock field every non-square checkpoint gets
-    cols = [square_col.get(n, -1) for n in cps]
-    flags = [int(n in square_col) for n in cps]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("path,n,s_n_over_n,is_square_checkpoint,interblock_max\r\n")
-        # row by row: the whole array as Python floats would add about 7 MB
-        for p, (s_row, ib_row) in enumerate(zip(d["s_over_n"], d["interblock_max"])):
-            ib = [repr(v) if math.isfinite(v) else "" for v in ib_row.tolist()] + [""]
-            fh.writelines(f"{p},{n},{s!r},{flag},{ib[j]}\r\n"
-                          for n, s, flag, j in zip(cps, s_row.tolist(), flags, cols))
-
-
-def write_slln_summary_csv(report: ConvergenceReport, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "mean_s_n_over_n", "max_s_n_over_n",
-                         "frac_above_threshold"])
-        for row in report.rows:
-            writer.writerow([row.n, repr(row.mean_value), repr(row.max_value),
-                             repr(row.exceed_freq)])
-
-
 def plot_series(report: ConvergenceReport) -> dict[str, list[tuple[int, float]]]:
     """Two-column (n, value) curves for external plotting."""
     series: dict[str, list[tuple[int, float]]] = {}
@@ -431,16 +376,3 @@ def plot_series(report: ConvergenceReport) -> dict[str, list[tuple[int, float]]]
                 pairs.append((int(m) ** 2, float(col.mean())))
         series["interblock_mean"] = pairs
     return series
-
-
-def write_plot_series(series: dict[str, list[tuple[int, float]]], directory) -> list[str]:
-    names = []
-    for name, pairs in series.items():
-        fname = f"plot_{name}.csv"
-        with open(f"{directory}/{fname}", "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["n", "value"])
-            for n, v in pairs:
-                writer.writerow([n, repr(float(v))])
-        names.append(fname)
-    return sorted(names)

@@ -17,7 +17,9 @@ stream, and the transform to supports runs once for the whole block.
 
 from __future__ import annotations
 
+import ast
 import math
+import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable
@@ -423,6 +425,8 @@ class EllipsoidIntervalFamily:
         return f"ellipsoid_interval a={self.axes_pattern} {mode}"
 
     def _spec_for(self, n: int) -> EllipsoidFamilySpec:
+        if n < 1:
+            raise FamilyError(f"sequence length must be >= 1, got {n}")
         if self.block_dim is None:
             return _interval_spec(self.axes_pattern, n, True)
         return _interval_spec(self.axes_pattern, self.block_dim, False)
@@ -654,18 +658,28 @@ def write_set_sample(sample: SetSample, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+_SAMPLE_HEADER = re.compile(r"# setlaw-sample family=(.+) master_seed=(\d+|\?) "
+                            r"stream_index=(\d+|\?) count=(\d+) dim=(\d+)")
+
+
 def read_set_sample(path) -> SetSample:
+    """Inverse of :func:`write_set_sample`; the header's count and dim must hold."""
     with open(path, encoding="utf-8") as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines or not lines[0].startswith("#"):
-        raise FamilyError("sample file must start with a '# setlaw-sample' header")
-    header = lines[0]
-    seed = None
-    fields = dict(tok.split("=", 1) for tok in header.split() if "=" in tok)
+    header = _SAMPLE_HEADER.fullmatch(lines[0]) if lines else None
+    if header is None:
+        raise FamilyError("sample file must start with the header write_set_sample writes")
+    family, master, index, count, dim = header.groups()
     try:
-        seed = SeedSpec(int(fields["master_seed"]), int(fields["stream_index"]))
-    except (KeyError, ValueError):
-        seed = None
-    tag = fields.get("family", "adhoc").strip("'\"")
+        tag = ast.literal_eval(family)
+    except (ValueError, SyntaxError):
+        tag = None
+    if not isinstance(tag, str):
+        raise FamilyError(f"sample header: family={family} is not a quoted string")
+    # written as '?' for a sample without a seed
+    seed = None if "?" in (master, index) else SeedSpec(int(master), int(index))
     bodies = tuple(parse_body(ln) for ln in lines[1:])
+    if len(bodies) != int(count) or any(b.dim != int(dim) for b in bodies):
+        raise FamilyError(f"sample header says count={count} dim={dim}, but the file holds "
+                          f"{len(bodies)} bodies of dimension {sorted({b.dim for b in bodies})}")
     return SetSample(bodies, seed=seed, family_tag=tag)

@@ -11,11 +11,13 @@ Sample means of sets are taken through the embedding: the support vector
 of the Minkowski average is exactly the arithmetic mean of the per-draw
 support vectors, so no set-level folding is needed (the fold is kept as
 an independent cross-check in the test suite).
+
+This module only computes; ``setlaw.cli`` writes verdicts and condition
+trajectories to files.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from statistics import NormalDist
@@ -321,6 +323,8 @@ def evaluate_variance_condition(schedule: VarianceSchedule, kind: str, *,
     below ``threshold``.  Finite schedules cannot decide the infinite
     conditions, so the last two are heuristics and say so in the note.
     """
+    if tail_window < 1:
+        raise StatsError("tail_window must be >= 1")
     per = schedule.per_index
     count = per.shape[0]
     if kind == "wlln_eq4":
@@ -347,31 +351,3 @@ def evaluate_variance_condition(schedule: VarianceSchedule, kind: str, *,
                 f"threshold {threshold:g} (finite-schedule heuristic)")
         return ConditionResult(ok, traj, kind, note)
     raise StatsError(f"unknown condition kind {kind!r}")
-
-
-# ---------------------------------------------------------------------------
-# CSV forms
-# ---------------------------------------------------------------------------
-
-
-def write_verdict_csv(verdict: UncorrelationVerdict, path) -> None:
-    # the rows csv.writer would write (no field needs quoting), built directly;
-    # the threshold and flag fields are one of two fixed line ends
-    ends = tuple(f",{verdict.threshold!r},{flag}\r\n" for flag in (0, 1))
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("k,l,direction,covariance,correlation,threshold,flag\r\n")
-        for (k, l), covs, corrs, flags in zip(verdict.pairs.tolist(),
-                                              verdict.covariance.tolist(),
-                                              verdict.correlation.tolist(),
-                                              verdict.rejected.tolist()):
-            fh.writelines(f"{k},{l},{j},{cov!r},{corr!r}{ends[flag]}"
-                          for j, (cov, corr, flag) in enumerate(zip(covs, corrs, flags)))
-
-
-def write_schedule_csv(schedule: VarianceSchedule, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "direction", "variance"])
-        for k in range(len(schedule)):
-            for j in range(schedule.per_index.shape[1]):
-                writer.writerow([k, j, repr(float(schedule.per_index[k, j]))])

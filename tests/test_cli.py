@@ -3,6 +3,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from setlaw.cli import (
@@ -341,3 +342,107 @@ def test_bad_growth_is_one_line_error_without_warnings(growth, tmp_path):
                    f"growth = {growth}\nn_grid = 10\nepsilon = 0.5\nreplications = 100\n")
     assert "growth" in _one_error_line(_run_cli(["--config", str(cfg), "--out",
                                                  str(tmp_path / "o")]))
+
+
+@pytest.mark.parametrize("length", [0, -1])
+@pytest.mark.parametrize("command,family", [
+    ("check-cond", "family = scaled_iid\nbody = box 2 0 0 1 1\n"
+                   "grid_scheme = uniform_angles_2d\ngrid_count = 8\nkind = wlln_eq4\n"),
+    ("test-uncorr", "family = ellipsoid_interval\nreplications = 100\n"),
+    ("sample", "family = ellipsoid_interval\n"),
+], ids=["check-cond", "test-uncorr", "sample"])
+def test_empty_length_is_one_line_error(command, family, length, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"command = {command}\n{family}length = {length}\n")
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("setlaw: ") and "length" in err[0], err
+
+
+@pytest.mark.parametrize("tail_window", [0, -3])
+def test_empty_tail_window_is_one_line_error(tail_window, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("command = check-cond\nfamily = ellipsoid_interval\nkind = slln_log2\n"
+                   f"length = 50\ntail_window = {tail_window}\n")
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("setlaw: ") and "tail_window" in err[0], err
+
+
+# -- table writers: each writes what csv.writer would --------------------------------
+
+_ODD = [float("nan"), float("inf"), -float("inf"), -0.0, 1e-300, 0.25]
+
+
+def _assert_csv_writer_bytes(got: Path, header, rows):
+    import csv
+    want = got.with_name("want.csv")
+    with open(want, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    assert got.read_bytes() == want.read_bytes()
+
+
+def _row(n, values, bound=None, bound_ok=None):
+    from setlaw.harness import ReportRow
+    return ReportRow(n, *values, bound=bound, bound_ok=bound_ok)
+
+
+def test_wlln_detail_csv_is_what_csv_writer_writes(tmp_path):
+    from setlaw.cli import write_wlln_detail_csv
+    from setlaw.harness import ConvergenceReport
+    gaps = {3: np.array(_ODD), 7: np.array(_ODD[::-1])}
+    report = ConvergenceReport("wlln", (_row(3, _ODD[:3], 1e-300, True),
+                                        _row(7, _ODD[3:])), 6, epsilon=0.25, detail=gaps)
+    write_wlln_detail_csv(report, tmp_path / "got.csv")
+    bound = {3: repr(1e-300), 7: ""}
+    _assert_csv_writer_bytes(
+        tmp_path / "got.csv", ["n", "replication", "d_h", "epsilon", "exceeded", "bound"],
+        [[n, r, repr(d), repr(0.25), int(d > 0.25), bound[n]]
+         for n in (3, 7) for r, d in enumerate(gaps[n].tolist())])
+
+
+def test_wlln_summary_csv_is_what_csv_writer_writes(tmp_path):
+    from setlaw.cli import write_wlln_summary_csv
+    from setlaw.harness import ConvergenceReport
+    rows = (_row(3, _ODD[:3], -0.0, False), _row(7, _ODD[3:]))
+    write_wlln_summary_csv(ConvergenceReport("wlln", rows, 6, epsilon=0.5),
+                           tmp_path / "got.csv")
+    _assert_csv_writer_bytes(
+        tmp_path / "got.csv", ["n", "mean_d_h", "max_d_h", "exceedance", "bound", "bound_ok"],
+        [[3, repr(_ODD[0]), repr(_ODD[1]), repr(_ODD[2]), repr(-0.0), 0],
+         [7, repr(_ODD[3]), repr(_ODD[4]), repr(_ODD[5]), "", ""]])
+
+
+def test_slln_summary_csv_is_what_csv_writer_writes(tmp_path):
+    from setlaw.cli import write_slln_summary_csv
+    from setlaw.harness import ConvergenceReport
+    rows = (_row(1, _ODD[:3]), _row(4, _ODD[3:]))
+    write_slln_summary_csv(ConvergenceReport("slln", rows, 2, threshold=0.1),
+                           tmp_path / "got.csv")
+    _assert_csv_writer_bytes(
+        tmp_path / "got.csv",
+        ["n", "mean_s_n_over_n", "max_s_n_over_n", "frac_above_threshold"],
+        [[row.n, repr(row.mean_value), repr(row.max_value), repr(row.exceed_freq)]
+         for row in rows])
+
+
+def test_plot_series_csv_is_what_csv_writer_writes(tmp_path):
+    from setlaw.cli import write_plot_series
+    series = {"b": list(zip((1, 4, 9), _ODD[:3])), "a": list(zip((2, 5, 8), _ODD[3:]))}
+    assert write_plot_series(series, tmp_path) == ["plot_a.csv", "plot_b.csv"]
+    for name, pairs in series.items():
+        _assert_csv_writer_bytes(tmp_path / f"plot_{name}.csv", ["n", "value"],
+                                 [[n, repr(v)] for n, v in pairs])
+
+
+def test_condition_csv_is_what_csv_writer_writes(tmp_path, monkeypatch, capsys):
+    from setlaw import cli
+    from setlaw.stats import ConditionResult
+    monkeypatch.setattr(cli, "evaluate_variance_condition", lambda *args, **kwargs:
+                        ConditionResult(True, np.array(_ODD), "wlln_eq4", "pinned"))
+    config = parse_config("command = check-cond\nkind = wlln_eq4\nvariances = 1,1\n")
+    assert dispatch(config, out_dir=str(tmp_path)) == EXIT_OK
+    _assert_csv_writer_bytes(tmp_path / "condition.csv", ["n", "value"],
+                             [[n, repr(v)] for n, v in enumerate(_ODD, start=1)])

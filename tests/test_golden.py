@@ -192,7 +192,7 @@ GOLDEN = {
     },
     'check-cond': {
         'condition.csv':
-            '275f92e57d3ff488ae9febeb24721a4fe833b57ace6f8a50623aa3d568cff858',
+            '48c352ddc6eded6620779e32fc8cfd573f13fcd6213ef77e6a83f6d5c3876b00',
         'manifest.txt':
             '274b1a3981eddbe3ea5828e59d78f13e0202f2554175b1f1bfa6ff5e79bc2212',
         '<stdout>':
@@ -282,6 +282,21 @@ def _digests(name: str, threads: int, work: Path) -> dict[str, str]:
 @pytest.mark.parametrize("name,threads", CASES)
 def test_golden_digests(name, threads, tmp_path):
     assert _digests(name, threads, tmp_path) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_line_ends(name, tmp_path):
+    """Every CSV ends each line in CRLF, as the csv module writes; text files use LF."""
+    _digests(name, 1, tmp_path)
+    for path in (tmp_path / f"{name}-t1").iterdir():
+        data = path.read_bytes()
+        if path.suffix == ".csv":
+            bare = data.replace(b"\r\n", b"")
+            assert data.endswith(b"\r\n") and b"\n" not in bare, path.name
+            assert b"\r" not in bare, path.name
+        else:
+            assert path.name in ("manifest.txt", "sample.txt"), path.name
+            assert data.endswith(b"\n") and b"\r" not in data, path.name
 
 
 if __name__ == "__main__":

@@ -22,6 +22,7 @@ from setlaw import (
     run_wlln,
 )
 from setlaw import harness
+from setlaw.cli import write_slln_detail_csv
 from setlaw.harness import ReportRow
 
 SEED = SeedSpec(42)
@@ -391,7 +392,7 @@ def test_slln_detail_csv_rows_are_what_csv_writer_writes(tmp_path):
     report = ConvergenceReport("slln", (), 2, detail={
         "checkpoints": np.array([1, 3, 4, 5]), "s_over_n": s_over,
         "squares": np.array([1, 2]), "interblock_max": interblock})
-    harness.write_slln_detail_csv(report, tmp_path / "got.csv")
+    write_slln_detail_csv(report, tmp_path / "got.csv")
     with open(tmp_path / "want.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["path", "n", "s_n_over_n", "is_square_checkpoint",
@@ -402,3 +403,22 @@ def test_slln_detail_csv_rows_are_what_csv_writer_writes(tmp_path):
                 ib = repr(float(ib)) if ib is not None and np.isfinite(ib) else ""
                 writer.writerow([p, n, repr(float(s_over[p, j])), int(n in (1, 4)), ib])
     assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+def test_experiments_and_statistics_open_no_file(monkeypatch):
+    # harness and stats compute; every output file is the CLI's to write
+    import builtins
+    import io
+    from setlaw import test_uncorrelated
+
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"open{args!r} called")
+
+    fam = EllipsoidIntervalFamily((1.0,), block_dim=4)
+    reps = [fam.sample(4, SeedSpec(3, r)) for r in range(50)]
+    monkeypatch.setattr(builtins, "open", refuse)
+    monkeypatch.setattr(io, "open", refuse)
+    wlln = run_wlln(WllnConfig(fam, (5, 20), 0.5, 100, SEED))
+    slln = run_slln(SllnConfig(fam, 100, 4, SEED))
+    assert harness.plot_series(wlln) and harness.plot_series(slln)
+    assert test_uncorrelated(reps).verdict in ("consistent", "rejected")

@@ -259,6 +259,48 @@ def test_sample_file_round_trip(tmp_path):
     assert again.seed == sample.seed
 
 
+@pytest.mark.parametrize("family", [
+    EllipsoidIntervalFamily((1.0, 2.0), block_dim=4),
+    ScaledTemplateFamily(Box((-1.0, 0.0), (1.0, 2.0)), "iid_uniform",
+                         direction_grid=make_direction_grid(2, 8, "uniform_angles_2d")),
+    DeterministicFamily(Interval(0.5, 2.0)),
+], ids=["ellipsoid-interval", "scaled-box2d", "deterministic"])
+def test_sample_file_round_trip_keeps_the_family_tag(family, tmp_path):
+    sample = family.sample(5, SeedSpec(42, 3))
+    assert " " in sample.family_tag  # a tag a whitespace split would cut
+    path = tmp_path / "sample.txt"
+    write_set_sample(sample, path)
+    again = read_set_sample(path)
+    assert (again.family_tag, again.seed, again.bodies) == \
+        (sample.family_tag, sample.seed, sample.bodies)
+
+
+def test_truncated_or_mislabelled_sample_file_raises(tmp_path):
+    path = tmp_path / "sample.txt"
+    write_set_sample(EllipsoidIntervalFamily((1.0,), block_dim=4).sample(5, SeedSpec(1)), path)
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    path.write_text("".join(lines[:-2]), encoding="utf-8")
+    with pytest.raises(FamilyError, match="count=5"):
+        read_set_sample(path)
+    path.write_text(lines[0].replace("dim=1", "dim=2") + "".join(lines[1:]),
+                    encoding="utf-8")
+    with pytest.raises(FamilyError, match="dim=2"):
+        read_set_sample(path)
+    path.write_text("# setlaw-sample\n" + "".join(lines[1:]), encoding="utf-8")
+    with pytest.raises(FamilyError, match="header"):
+        read_set_sample(path)
+
+
+@pytest.mark.parametrize("block_dim", [None, 4])
+@pytest.mark.parametrize("n", [0, -1])
+def test_ellipsoid_interval_family_rejects_empty_lengths(block_dim, n):
+    fam = EllipsoidIntervalFamily((1.0,), block_dim=block_dim)
+    with pytest.raises(FamilyError, match="length"):
+        fam.sample(n, SeedSpec(1))
+    with pytest.raises(FamilyError, match="length"):
+        fam.variances(n)
+
+
 def test_set_sample_validation():
     with pytest.raises(FamilyError):
         SetSample(())
@@ -433,9 +475,9 @@ def test_import_leaves_numpy_random_unloaded():
     # numpy loads numpy.random on first use; an import that forces it moves
     # about 15 ms into every command's start-up.  The process pool's modules
     # (16-21 ms) load only when a pool starts, and scipy (about 0.5 s and
-    # 33-38 MiB) not at all.
+    # 33-38 MiB) not at all; the CLI writes its CSV files without csv.
     code = ("import sys, setlaw; random = 'numpy.random' in sys.modules; import setlaw.cli; "
-            "print(*[m for m in ('concurrent.futures', 'scipy') if m in sys.modules]); "
+            "print(*[m for m in ('concurrent.futures', 'scipy', 'csv') if m in sys.modules]); "
             "sys.exit(int(random))")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     done = subprocess.run([sys.executable, "-c", code], env=env, timeout=60,

@@ -288,6 +288,13 @@ def test_log2_condition_convergent_vs_divergent():
     assert not evaluate_variance_condition(divergent, "slln_log2").satisfied
 
 
+@pytest.mark.parametrize("tail_window", [0, -3])
+def test_log2_condition_needs_a_positive_tail_window(tail_window):
+    schedule = VarianceSchedule(EXACT_1D, np.full(50, 1.0))
+    with pytest.raises(StatsError, match="tail_window"):
+        evaluate_variance_condition(schedule, "slln_log2", tail_window=tail_window)
+
+
 def test_schedule_validation():
     with pytest.raises(StatsError):
         VarianceSchedule(EXACT_1D, np.array([1.0, -0.5]))
@@ -315,17 +322,6 @@ def test_empirical_schedule_approximates_analytic_variances():
     # SE of a sample variance is roughly Var * sqrt(2/R); allow 6 of those
     slack = 6.0 * analytic[:, 0].max() * math.sqrt(2.0 / 5000.0)
     assert np.all(np.abs(schedule.per_index - analytic) <= slack)
-
-
-def test_schedule_csv_round_trip_shape(tmp_path):
-    from setlaw.stats import write_schedule_csv
-    schedule = VarianceSchedule(EXACT_1D, np.array([[0.5, 0.0], [0.25, 0.0]]))
-    path = tmp_path / "schedule.csv"
-    write_schedule_csv(schedule, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "index,direction,variance"
-    assert len(lines) == 1 + 2 * 2
-    assert lines[1] == "0,0,0.5"
 
 
 # -- array-based support tensor and uncorrelation test ----------------------------
@@ -441,7 +437,7 @@ def test_uncorrelated_zero_variance_and_perfect_correlation():
 
 
 def test_verdict_csv_rows_follow_the_arrays(tmp_path):
-    from setlaw.stats import write_verdict_csv
+    from setlaw.cli import write_verdict_csv
     fam = ScaledTemplateFamily(Interval(0, 1), "ar1", rho=0.5)
     verdict = test_uncorrelated(_replications(fam, 3, 50, 67))
     path = tmp_path / "uncorrelation.csv"
@@ -460,7 +456,7 @@ def test_verdict_csv_rows_follow_the_arrays(tmp_path):
 
 def test_verdict_csv_is_what_csv_writer_writes(tmp_path):
     import csv
-    from setlaw.stats import write_verdict_csv
+    from setlaw.cli import write_verdict_csv
     nan, inf = float("nan"), float("inf")
     corr = np.array([[nan, inf, -inf, -0.0], [1e-300, 0.25, -0.75, 1.0]])
     cov = np.array([[-0.0, 1e-300, nan, inf], [-inf, 3.5, -1e-300, 0.0]])
