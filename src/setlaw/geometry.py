@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import combinations
+from itertools import combinations, product
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -151,11 +151,12 @@ class DirectionGrid:
         m = self._matrix
         angles = np.arctan2(m[:, 1], m[:, 0])
         order = self._order = np.argsort(angles, kind="stable")
+        self._sorted_angles = angles[order]
         following = np.roll(order, -1)
         close = (order != following) & (
             np.linalg.norm(m[order] - m[following], axis=1) <= DUPLICATE_TOL)
-        at = np.searchsorted(angles[order], np.where(angles > 0.0, angles - math.pi,
-                                                     angles + math.pi))
+        at = np.searchsorted(self._sorted_angles, np.where(angles > 0.0, angles - math.pi,
+                                                           angles + math.pi))
         mapping = np.full(len(m), -1)
         for j in (order[at - 1], order[at % len(m)]):  # either side, across the seam
             hit = np.linalg.norm(m + m[j], axis=1) <= DUPLICATE_TOL
@@ -265,8 +266,21 @@ class DirectionGrid:
 
     def _nearest(self, U: np.ndarray,
                  tol: float = DUPLICATE_TOL) -> tuple[np.ndarray, np.ndarray]:
-        """Nearest grid index of each row of U, and whether it lies within chordal tol."""
+        """Nearest grid index of each row of U, and whether it lies within chordal tol.
+
+        In 2-D the nearest direction to a row is one of the two either side
+        of its angle in the grid's angular order (across the +-pi seam), so
+        one ``searchsorted`` finds both; ties go to the lower index, as in
+        the full scan that every other dimension makes.
+        """
         m = self._matrix
+        if self.dim == 2:
+            at = np.searchsorted(self._sorted_angles, np.arctan2(U[:, 1], U[:, 0]))
+            below, above = self._order[at - 1], self._order[at % len(m)]
+            pair = np.column_stack([np.minimum(below, above), np.maximum(below, above)])
+            nearer = np.argmin(np.sum((U[:, None, :] - m[pair]) ** 2, axis=2), axis=1)
+            idx = pair[np.arange(len(U)), nearer]
+            return idx, np.linalg.norm(U - m[idx], axis=1) <= tol
         idx = np.empty(len(U), dtype=np.intp)
         for rows in _row_blocks(len(U), m.size):
             idx[rows] = np.argmin(np.sum((U[rows, None, :] - m) ** 2, axis=2), axis=1)
@@ -401,9 +415,11 @@ class Box(ConvexBody):
 class Polytope(ConvexBody):
     """Convex hull of a finite vertex list, stored as an (k, d) array.
 
-    The stored vertices need not be in minimal (extreme-point) position;
-    Minkowski sums in d <= 2 prune to the hull, higher dimensions keep the
-    raw vertex set.
+    The stored vertices need not be in minimal (extreme-point) position.
+    Minkowski sums prune to the hull in d <= 2; in d = 3 they keep a
+    certified superset of the extreme points (every support value is the
+    one the full vertex-sum set gives); higher dimensions keep every
+    distinct vertex sum.
     """
 
     def __init__(self, vertices):
@@ -527,6 +543,19 @@ class Embedded(ConvexBody):
 # ---------------------------------------------------------------------------
 
 
+def _inner(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """Inner products of the columns of P (d, k) and Q (d, m), as a (k, m) array.
+
+    Summed coordinate by coordinate (row by row of P and Q): a fixed order,
+    unlike a BLAS product, so a value depends neither on the BLAS build and
+    its threads nor on which other columns are evaluated with it.
+    """
+    out = np.multiply.outer(P[0], Q[0])
+    for c in range(1, len(P)):
+        out += np.multiply.outer(P[c], Q[c])
+    return out
+
+
 def _direction_matrix(U, dim: int) -> np.ndarray:
     U = np.asarray(U, dtype=float)
     if U.ndim != 2 or U.shape[1] != dim:
@@ -554,16 +583,10 @@ def support_values(body: ConvexBody, U) -> np.ndarray:
             total += np.where(c > 0.0, hi * c, lo * c)
         return total
     if isinstance(body, Polytope):
-        # (vertex, direction) inner products summed coordinate by coordinate:
-        # a fixed order, unlike a BLAS product, so a value does not depend
-        # on which other rows are evaluated with it
         V, UT = np.ascontiguousarray(body.vertices.T), np.ascontiguousarray(U.T)
         out = np.empty(len(U))
         for cols in _row_blocks(len(U), V.shape[1]):
-            dots = np.multiply.outer(V[0], UT[0, cols])
-            for c in range(1, len(V)):
-                dots += np.multiply.outer(V[c], UT[c, cols])
-            out[cols] = dots.max(axis=0)
+            out[cols] = _inner(V, UT[:, cols]).max(axis=0)
         return out
     if isinstance(body, Ellipsoid):
         center, squares = np.zeros(len(U)), np.zeros(len(U))
@@ -644,14 +667,61 @@ def _hull_prune(vertices: np.ndarray) -> np.ndarray:
     return np.array(hull)
 
 
+# The 26 directions {-1, 0, 1}^3 \ {0}, whose maximizers span the body
+# that a 3-D vertex set is filtered against.
+_PROBES_3D = _readonly([p for p in product((-1.0, 0.0, 1.0), repeat=3) if any(p)])
+
+
+def _drop_interior(points: np.ndarray) -> np.ndarray:
+    """The rows of a 3-D point set, less rows certified to be interior points.
+
+    E is the set of maximizers of the 26 probe directions.  Each triple
+    (e1, e2, e3) of E spans a plane with normal n = (e2 - e1) x (e3 - e1),
+    and w = |e2 - e1| |e3 - e1| bounds both |n| and its rounding.  An
+    orientation of the plane is accepted when all of E lies at or below it
+    within tol * w, so every facet of conv(E) is accepted, slivers too, and
+    a collinear triple (n = 0) is accepted both ways, which blocks every
+    drop.  A row is dropped only when it lies below every accepted plane by
+    more than tol * w >= tol * |n|, so a ball of radius tol about it lies in
+    conv(E), inside conv(points): it is no extreme point, and every support
+    value is the same with or without it.  tol = 1e-9 * max |points| is far
+    above the rounding of the inner products.  Planes and heights are
+    computed on the points scaled by a power of two (exactly) to below 1 in
+    magnitude, so that no product overflows.
+    """
+    _, exponent = np.frexp(np.abs(points).max())
+    coords = np.ascontiguousarray(np.ldexp(points.T, -exponent))
+    probed = coords[:, np.unique(np.argmax(_inner(coords, _PROBES_3D.T), axis=0))]
+    if probed.shape[1] < 4:
+        return points
+    r = np.arange(probed.shape[1])
+    i, j, k = np.nonzero((r[:, None, None] < r[:, None]) & (r[:, None] < r))  # i < j < k
+    a, b = probed[:, j] - probed[:, i], probed[:, k] - probed[:, i]
+    normals = np.cross(a, b, axis=0)
+    slack = 1e-9 * np.abs(coords).max() * np.linalg.norm(a, axis=0) * np.linalg.norm(b, axis=0)
+    heights = _inner(probed, normals)
+    base = heights[i, np.arange(len(i))]
+    above = heights - base
+    up, down = above.max(axis=0) <= slack, above.min(axis=0) >= -slack
+    normals = np.concatenate([normals[:, up], -normals[:, down]], axis=1)
+    floor = np.concatenate([base[up] - slack[up], -base[down] - slack[down]])
+    keep = np.empty(len(points), dtype=bool)
+    for rows in _row_blocks(len(points), len(floor)):
+        keep[rows] = np.any(_inner(coords[:, rows], normals) >= floor, axis=1)
+    return points[keep]
+
+
 def minkowski_sum(a: ConvexBody, b: ConvexBody,
                   grid: DirectionGrid | None = None) -> ConvexBody:
     """Pointwise set sum {x + y}.
 
     Like representations stay exact (intervals add endpoints, boxes add
-    bounds, polytopes add vertex pairs, hull-pruned for d <= 2).  Any other
-    mix is embedded on ``grid`` (or a default grid for the dimension) by
-    adding support values, which is exact on the grid.
+    bounds, polytopes add vertex pairs).  Polytope sums are hull-pruned for
+    d <= 2; for d = 3 they drop only sums certified interior, keeping a
+    superset of the extreme points, so every support value equals that of
+    the unpruned sum bit for bit.  Any other mix is embedded on ``grid`` (or
+    a default grid for the dimension) by adding support values, which is
+    exact on the grid.
     """
     if a.dim != b.dim:
         raise GeometryError(f"dimension mismatch: {a.dim} vs {b.dim}")
@@ -664,6 +734,8 @@ def minkowski_sum(a: ConvexBody, b: ConvexBody,
         sums = (a.vertices[:, None, :] + b.vertices[None, :, :]).reshape(-1, a.dim)
         if a.dim <= 2:
             return Polytope(_hull_prune(sums))
+        if a.dim == 3:
+            sums = _drop_interior(sums)
         return Polytope(np.unique(sums, axis=0))
     if grid is None:
         if isinstance(a, Embedded) and isinstance(b, Embedded) and a.grid == b.grid:

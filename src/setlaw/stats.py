@@ -341,11 +341,15 @@ def evaluate_variance_condition(schedule: VarianceSchedule, kind: str, *,
         note = f"max variance {traj.max():.6g} vs bound {bound:g}"
         return ConditionResult(ok, traj, kind, note)
     if kind == "slln_log2":
+        # log^2(1) = 0 weighs the first term to nothing, so a one-entry
+        # schedule has no tail to judge
+        if count < 2:
+            raise StatsError("slln_log2 needs a schedule of at least 2 entries")
         k = np.arange(1, count + 1, dtype=float)
         weights = np.log(k) ** 2 / k ** 2
         traj = np.max(np.cumsum(per * weights[:, None], axis=0), axis=1)
         w = min(tail_window, count - 1)
-        increment = float(traj[-1] - traj[-1 - w]) if w >= 1 else float(traj[-1])
+        increment = float(traj[-1] - traj[-1 - w])
         ok = bool(increment < threshold)
         note = (f"tail increment {increment:.6g} over last {w} terms vs "
                 f"threshold {threshold:g} (finite-schedule heuristic)")

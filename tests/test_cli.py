@@ -369,6 +369,17 @@ def test_empty_tail_window_is_one_line_error(tail_window, tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("setlaw: ") and "tail_window" in err[0], err
 
 
+@pytest.mark.parametrize("strict", [[], ["--strict"]])
+def test_one_entry_log2_schedule_is_one_line_error(strict, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("command = check-cond\nkind = slln_log2\nvariances = 5\n")
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "o"), *strict]) == 1
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("setlaw: ") and "2 entries" in err[0], err
+    assert "satisfied" not in captured.out
+
+
 # -- table writers: each writes what csv.writer would --------------------------------
 
 _ODD = [float("nan"), float("inf"), -float("inf"), -0.0, 1e-300, 0.25]

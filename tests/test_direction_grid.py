@@ -130,3 +130,47 @@ def test_library_builds_no_direction(dim, count, scheme, monkeypatch):
     assert np.array_equal(total.support.values, ea.support.values + eb.support.values)
     with pytest.raises(AssertionError, match="Direction"):
         grid.directions
+
+
+def _scan(grid: DirectionGrid, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest grid row of each row of U by scanning every row: the reference."""
+    m = grid.matrix
+    idx = np.argmin(np.sum((U[:, None, :] - m) ** 2, axis=2), axis=1)
+    return idx, np.linalg.norm(U - m[idx], axis=1) <= geometry.DUPLICATE_TOL
+
+
+def _seam_rows() -> np.ndarray:
+    """Directions on and either side of the +-pi seam, among 40 seeded angles."""
+    angles = np.concatenate([[np.pi, np.pi - 5e-9, -np.pi + 2e-9, -np.pi + 1e-3],
+                             np.random.default_rng(8).uniform(-np.pi, np.pi, 40)])
+    rows = np.column_stack([np.cos(angles), np.sin(angles)])
+    rows[0] = (-1.0, 0.0)
+    return rows
+
+
+@pytest.mark.parametrize("rows", [
+    make_direction_grid(2, 512, "uniform_angles_2d").matrix[::-1],
+    np.random.default_rng(3).permutation(make_direction_grid(2, 512, "uniform_angles_2d").matrix),
+    np.random.default_rng(5).permutation(
+        make_direction_grid(2, 300, "seeded_random", seed=2).matrix),
+    _seam_rows(),
+    _seam_rows()[::-1],
+], ids=["reversed", "shuffled", "random-shuffled", "seam", "seam-reversed"])
+def test_2d_nearest_matches_the_full_scan(rows):
+    grid = DirectionGrid(rows)
+    m = grid.matrix
+    rng = np.random.default_rng(len(m))
+    off = rng.normal(size=(200, 2))
+    queries = np.concatenate([
+        m, m[::-1], m + 1e-10, m - 1e-10, m * (1.0 + 1e-10),
+        m + rng.choice([-1e-10, 1e-10], size=m.shape),
+        off / np.linalg.norm(off, axis=1, keepdims=True),  # off the grid: misses
+        [[-1.0, 0.0], [-1.0, -0.0], [-1.0, 1e-10], [-1.0, -1e-10], [1.0, 0.0]],
+    ])
+    idx, hit = grid._nearest(queries)
+    ref_idx, ref_hit = _scan(grid, queries)
+    assert np.array_equal(hit, ref_hit)
+    assert np.array_equal(idx[hit], ref_idx[hit])
+    assert hit[:6 * len(m)].all() and not hit[6 * len(m):6 * len(m) + 200].any()
+    assert [grid.index_of(Direction.unit(q)) for q in queries[-5:]] == \
+        [int(i) if h else None for i, h in zip(ref_idx[-5:], ref_hit[-5:])]

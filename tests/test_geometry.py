@@ -118,6 +118,87 @@ def test_high_dim_polytope_sum_keeps_raw_vertices():
     assert total.vertices.shape == (6, 3)
 
 
+def _fold_parts(case: str, seed: int) -> list[np.ndarray]:
+    """Four seeded 3-D vertex arrays of one kind, for a 4-fold Minkowski sum."""
+    rng = np.random.default_rng([seed, 7])
+    gaussian = [rng.normal(size=(8, 3)) for _ in range(4)]
+    if case == "lattice":  # coplanar and duplicate sums
+        return [rng.integers(-2, 3, size=(6, 3)).astype(float) for _ in range(4)]
+    if case == "lattice-tenths":  # coplanar in exact arithmetic, not in floats
+        return [0.1 * rng.integers(-2, 3, size=(6, 3)) for _ in range(4)]
+    if case == "flat":
+        return [p * (1.0, 1.0, 0.0) for p in gaussian]
+    if case == "few":
+        return [rng.normal(size=(k, 3)) for k in (1, 2, 3, 3)]
+    scale, shift = {"gaussian": (1.0, 0.0), "offset": (1.0, 1e8),
+                    "tiny": (1e-6, 0.0), "huge": (1e6, 0.0),
+                    "1e-200": (1e-200, 0.0), "1e200": (1e200, 0.0)}[case]
+    return [scale * p + shift for p in gaussian]
+
+
+def _fold(parts: list[np.ndarray]) -> tuple[Polytope, np.ndarray, float]:
+    """The library's folded sum, the distinct raw vertex sums from the same
+    additions, and 1e-9 times the least max |coordinate| of a partial sum:
+    the depth inside the hull that every dropped sum must have."""
+    folded, raw, least = Polytope(parts[0]), parts[0], np.inf
+    for part in parts[1:]:
+        folded = minkowski_sum(folded, Polytope(part))
+        raw = (raw[:, None, :] + part[None, :, :]).reshape(-1, 3)
+        least = min(least, np.abs(raw).max())
+    return folded, np.unique(raw, axis=0), 1e-9 * least
+
+
+FOLD_CASES = [(case, seed)
+              for case in ("gaussian", "lattice", "lattice-tenths", "flat", "few",
+                           "offset", "tiny", "huge", "1e-200", "1e200")
+              for seed in range(3)]
+
+
+@pytest.mark.parametrize("case,seed", FOLD_CASES)
+def test_3d_sum_prune_keeps_every_support_value(case, seed):
+    folded, raw, _ = _fold(_fold_parts(case, seed))
+    grid = make_direction_grid(3, 256, "fibonacci_3d")
+    assert len(folded.vertices) <= len(raw)
+    assert np.array_equal(embed(folded, grid).values, embed(Polytope(raw), grid).values)
+
+
+@pytest.mark.parametrize("case,seed", FOLD_CASES)
+def test_3d_sum_prune_keeps_maximizers_and_drops_only_deep_sums(case, seed):
+    folded, raw, depth = _fold(_fold_parts(case, seed))
+    kept = set(map(tuple, folded.vertices.tolist()))
+    dropped = raw[[row not in kept for row in map(tuple, raw.tolist())]]
+    u = np.random.default_rng(seed).normal(size=(20_000, 3))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    strict = set()
+    for rows in np.array_split(u, 10):
+        dots = rows @ raw.T
+        best = np.argmax(dots, axis=1)
+        top = dots[np.arange(len(rows)), best]
+        # a dropped sum lies a ball of radius `depth` inside the hull
+        assert np.all(top[:, None] - rows @ dropped.T >= 0.5 * depth)
+        dots[np.arange(len(rows)), best] = -np.inf
+        # a gap of 1e-9 relative to the coordinates
+        strict.update(best[top - dots.max(axis=1) > 1e-9 * np.abs(raw).max()].tolist())
+    assert strict
+    assert {tuple(raw[i].tolist()) for i in strict} <= kept
+
+
+@pytest.mark.parametrize("case,seed", [(c, s) for c, s in FOLD_CASES if c != "flat"])
+def test_3d_sum_prune_keeps_every_hull_vertex(case, seed):
+    spatial = pytest.importorskip("scipy.spatial")
+    folded, raw, _ = _fold(_fold_parts(case, seed))
+    # qhull runs on a copy scaled exactly, by a power of two, to unit size
+    unit = np.ldexp(raw, -np.frexp(np.abs(raw).max())[1])
+    hull = set(map(tuple, raw[spatial.ConvexHull(unit).vertices].tolist()))
+    assert hull <= set(map(tuple, folded.vertices.tolist()))
+
+
+@pytest.mark.parametrize("case", ["gaussian", "tiny", "huge", "1e-200", "1e200"])
+def test_3d_sum_prune_drops_interior_sums_at_any_magnitude(case):
+    folded, raw, _ = _fold(_fold_parts(case, 0))
+    assert len(raw) == 8 ** 4 and len(folded.vertices) < len(raw) // 4
+
+
 def test_sum_dimension_mismatch():
     with pytest.raises(GeometryError):
         minkowski_sum(Interval(0, 1), Box((0.0, 0.0), (1.0, 1.0)))

@@ -295,6 +295,15 @@ def test_log2_condition_needs_a_positive_tail_window(tail_window):
         evaluate_variance_condition(schedule, "slln_log2", tail_window=tail_window)
 
 
+def test_log2_condition_needs_two_entries():
+    # log^2(1) = 0: a one-entry schedule would pass on a tail of no terms
+    with pytest.raises(StatsError, match="at least 2"):
+        evaluate_variance_condition(VarianceSchedule(EXACT_1D, np.array([5.0])), "slln_log2")
+    two = evaluate_variance_condition(VarianceSchedule(EXACT_1D, np.array([5.0, 5.0])),
+                                      "slln_log2")
+    assert "over last 1 terms" in two.note
+
+
 def test_schedule_validation():
     with pytest.raises(StatsError):
         VarianceSchedule(EXACT_1D, np.array([1.0, -0.5]))
