@@ -126,7 +126,13 @@ _SCHEMAS = {
                    "tail_window": ("int", False, 10)},
 }
 
-_FAMILY_NAMES = ("ellipsoid_interval", "deterministic", "scaled_iid", "scaled_ar1")
+# the family keys each family reads; a config that writes any other one is an error
+_FAMILY_READS = {
+    "ellipsoid_interval": ("a", "block_dim"),
+    "deterministic": ("body", *_GRID_KEYS),
+    "scaled_iid": ("body", "growth", *_GRID_KEYS),
+    "scaled_ar1": ("body", "rho", "growth", *_GRID_KEYS),
+}
 
 
 def _convert(key: str, kind: str, raw: str):
@@ -159,10 +165,15 @@ def _validate(command: str, params: dict) -> None:
     if "length" in params and params["length"] < 1:
         raise ConfigError("key 'length' must be >= 1")
     if "family" in params:
-        if params["family"] not in _FAMILY_NAMES:
-            raise ConfigError(f"family must be one of {_FAMILY_NAMES}")
+        if params["family"] not in _FAMILY_READS:
+            raise ConfigError(f"family must be one of {tuple(_FAMILY_READS)}")
         if params["family"] == "scaled_ar1" and params.get("rho") is None:
             raise ConfigError("missing required key 'rho' for family scaled_ar1")
+        # a key at its default value is one the parser fills in for every family
+        reads = ("family", *_FAMILY_READS[params["family"]])
+        for key, (_, _, default) in _FAMILY_KEYS.items():
+            if key not in reads and params.get(key) != default:
+                raise ConfigError(f"key {key!r} is not read by family {params['family']!r}")
     if command == "check-cond":
         if params["kind"] not in ("wlln_eq4", "slln_bounded", "slln_log2"):
             raise ConfigError("kind must be wlln_eq4, slln_bounded, or slln_log2")

@@ -607,16 +607,10 @@ def support_values(body: ConvexBody, U) -> np.ndarray:
 
 
 def support_function(body: ConvexBody, u: Direction) -> float:
-    """Largest inner product <u, x> over points x of the body.
-
-    The one-row case of :func:`support_values`.  Intervals take the same
-    closed form in scalar arithmetic, which keeps 1-D callers off numpy.
-    """
+    """Largest inner product <u, x> over points x of the body: the one-row
+    case of :func:`support_values`."""
     if u.dim != body.dim:
         raise GeometryError(f"direction dim {u.dim} does not match body dim {body.dim}")
-    if isinstance(body, Interval):
-        c = u.components[0]
-        return body.hi * c if c > 0.0 else body.lo * c
     return float(support_values(body, u.vector[None, :])[0])
 
 

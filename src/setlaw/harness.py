@@ -26,6 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .geometry import _row_blocks
 from .sampling import SeedSpec, StreamCursor
 from .stats import VarianceSchedule, evaluate_variance_condition
 
@@ -33,7 +34,6 @@ _STREAM_SHIFT = 20          # replication r at length n uses stream (n << 20) | 
 _MAX_REPLICATIONS = 1 << _STREAM_SHIFT
 _WLLN_CHUNK = 256
 _SLLN_CHUNK = 8
-_BLOCK_VALUES = 1 << 15     # support values per weak-law block, at any n and grid
 
 
 class HarnessError(ValueError):
@@ -150,16 +150,15 @@ def _map_chunks(func, args_list, threads: int):
 def _wlln_chunk(args) -> np.ndarray:
     family, n, master_seed, lo, hi, target = args
     cursor = StreamCursor(master_seed)
-    size = max(1, _BLOCK_VALUES // (n * len(target)))
     out = np.empty(hi - lo)
-    for start in range(lo, hi, size):
-        stop = min(start + size, hi)
+    for rows in _row_blocks(hi - lo, n * len(target)):
         block = family.support_block(
-            n, lambda i: cursor.at((n << _STREAM_SHIFT) | (start + i)), stop - start)
+            n, lambda i: cursor.at((n << _STREAM_SHIFT) | (lo + rows.start + i)),
+            rows.stop - rows.start)
         # sums over n in order, like one replication's (n, m).mean(axis=0);
         # a contiguous 1-D mean would sum pairwise and round differently
         means = np.add.reduce(block, axis=0) / n
-        np.abs(means - target).max(axis=1, out=out[start - lo:stop - lo])
+        np.abs(means - target).max(axis=1, out=out[rows])
     return out
 
 
@@ -288,9 +287,8 @@ def _slln_chunk(args):
     # np.take keeps the columns row-major, as s[:, idx] would not: the
     # report's column means are summed in memory order, so layout shows in bits
     s_over = np.take(s, cps - 1, axis=1) / cps
-    sq = np.asarray(squares) ** 2
     passed = (s_over[:, -1] < threshold) & _eventually_decreasing(s_over, window)
-    return s_over, np.take(s, sq - 1, axis=1) / sq, _interblock_maxima(s, sq), passed
+    return s_over, _interblock_maxima(s, np.asarray(squares) ** 2), passed
 
 
 def run_slln(config: SllnConfig, threads: int = 1) -> ConvergenceReport:
@@ -319,11 +317,8 @@ def run_slln(config: SllnConfig, threads: int = 1) -> ConvergenceReport:
     chunks = [(family, config.max_n, master, lo, min(lo + _SLLN_CHUNK, config.paths),
                config.checkpoints, squares, config.threshold, config.median_window)
               for lo in range(0, config.paths, _SLLN_CHUNK)]
-    parts = _map_chunks(_slln_chunk, chunks, threads)
-    s_over = np.concatenate([p[0] for p in parts])
-    square_vals = np.concatenate([p[1] for p in parts])
-    interblock = np.concatenate([p[2] for p in parts])
-    path_pass = np.concatenate([p[3] for p in parts])
+    s_over, interblock, path_pass = (
+        np.concatenate(part) for part in zip(*_map_chunks(_slln_chunk, chunks, threads)))
 
     rows = []
     for j, n in enumerate(config.checkpoints):
@@ -345,7 +340,9 @@ def run_slln(config: SllnConfig, threads: int = 1) -> ConvergenceReport:
         "checkpoints": np.asarray(config.checkpoints),
         "s_over_n": s_over,
         "squares": np.asarray(squares),
-        "square_values": square_vals,
+        # every square is a checkpoint, so S_{m^2}/m^2 is a column of s_over
+        "square_values": np.take(s_over, np.searchsorted(config.checkpoints,
+                                                         np.square(squares)), axis=1),
         "interblock_max": interblock,
         "path_pass": path_pass,
     }

@@ -321,12 +321,6 @@ def _scalar_block(process: str, count: int, streams: Streams, size: int,
     return u if process == "iid_uniform" else _ar1(u, rho)
 
 
-def _scalar_process(process: str, count: int, rng: np.random.Generator,
-                    rho: float | None, ellipsoid: EllipsoidFamilySpec | None) -> np.ndarray:
-    """One scalar sequence of ``_scalar_block``, drawn from ``rng``."""
-    return _scalar_block(process, count, _restartable(rng), 1, rho, ellipsoid)[0]
-
-
 def _growth_factors(growth: float, n: int) -> np.ndarray:
     """g_k = k**growth for k = 1..n.
 
@@ -358,8 +352,8 @@ def make_generic_family(body_template: ConvexBody, scalar_process: str, count: i
     """
     if count < 1:
         raise FamilyError("count must be >= 1")
-    c = _scalar_process(scalar_process, count, seed.generator(), rho, ellipsoid) \
-        * _growth_factors(growth, count)
+    c = _scalar_block(scalar_process, count, lambda _row: seed.generator(), 1, rho,
+                      ellipsoid)[0] * _growth_factors(growth, count)
     if np.any(c < 0.0):
         k = int(np.argmax(c < 0.0))
         raise FamilyError(f"scalar process produced negative scale c_{k} = {c[k]!r}")
@@ -484,7 +478,8 @@ class EllipsoidIntervalFamily:
 
 
 class _OnGrid:
-    """Support columns on ``direction_grid``; without one, on {+1, -1} (dimension 1 only)."""
+    """A family of multiples of one template body, ``_template``, with support
+    columns on ``direction_grid``; without one, on {+1, -1} (dimension 1 only)."""
 
     def _check_grid(self) -> None:
         if self.direction_grid is None:
@@ -494,8 +489,22 @@ class _OnGrid:
             raise FamilyError("grid dimension must match the family's bodies")
 
     @property
+    def dim(self) -> int:
+        return self._template.dim
+
+    @property
     def grid(self) -> DirectionGrid:
         return self.direction_grid if self.direction_grid is not None else _default_grid(1)
+
+    def describe(self, n: int) -> str:
+        return self.tag
+
+    @cached_property
+    def _template_supports(self) -> np.ndarray:
+        return embed(self._template, self.grid).values
+
+    def support_draws(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        return self.support_block(n, _restartable(rng), 1)[:, 0]
 
 
 @dataclass(frozen=True)
@@ -505,32 +514,20 @@ class DeterministicFamily(_OnGrid):
     body: ConvexBody
     direction_grid: DirectionGrid | None = None
 
+    _template = property(lambda self: self.body)
+
     def __post_init__(self):
         self._check_grid()
-
-    @property
-    def dim(self) -> int:
-        return self.body.dim
 
     @property
     def tag(self) -> str:
         return f"deterministic {type(self.body).__name__}"
 
-    def describe(self, n: int) -> str:
-        return self.tag
-
-    @cached_property
-    def _support_row(self) -> np.ndarray:
-        return embed(self.body, self.grid).values
-
     def support_block(self, n: int, streams: Streams, size: int) -> np.ndarray:
-        return np.tile(self._support_row, (n, size, 1))
-
-    def support_draws(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        return self.support_block(n, _restartable(rng), 1)[:, 0]
+        return np.tile(self._template_supports, (n, size, 1))
 
     def mean_supports(self, n: int) -> np.ndarray:
-        return np.tile(self._support_row, (n, 1))
+        return np.tile(self._template_supports, (n, 1))
 
     def variances(self, n: int) -> np.ndarray:
         return np.zeros((n, len(self.grid)))
@@ -562,6 +559,8 @@ class ScaledTemplateFamily(_OnGrid):
     growth: float = 0.0
     direction_grid: DirectionGrid | None = None
 
+    _template = property(lambda self: self.template)
+
     def __post_init__(self):
         if self.process not in ("iid_uniform", "ar1"):
             raise FamilyError("scaled families support processes 'iid_uniform' and 'ar1'")
@@ -571,21 +570,10 @@ class ScaledTemplateFamily(_OnGrid):
         self._check_grid()
 
     @property
-    def dim(self) -> int:
-        return self.template.dim
-
-    @property
     def tag(self) -> str:
         extra = f" rho={self.rho}" if self.process == "ar1" else ""
         extra += f" growth={self.growth}" if self.growth else ""
         return f"scaled_{self.process}{extra} x {type(self.template).__name__}"
-
-    def describe(self, n: int) -> str:
-        return self.tag
-
-    @cached_property
-    def _template_supports(self) -> np.ndarray:
-        return embed(self.template, self.grid).values
 
     def _growth_factors(self, n: int) -> np.ndarray:
         return _growth_factors(self.growth, n)
@@ -609,9 +597,6 @@ class ScaledTemplateFamily(_OnGrid):
         t = self._template_supports
         return np.multiply(c.T[:, :, None], t, out=np.empty((n, size, len(t))))
 
-    def support_draws(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        return self.support_block(n, _restartable(rng), 1)[:, 0]
-
     def mean_supports(self, n: int) -> np.ndarray:
         # E[c_k] = 1/2 for both processes (uniform innovations preserve it)
         return np.outer(0.5 * self._growth_factors(n), self._template_supports)
@@ -630,10 +615,6 @@ class ScaledTemplateFamily(_OnGrid):
             return None
         total = float(self.variances(n).sum())
         return total / (epsilon * n) ** 2
-
-    def rms_envelope(self, n: int) -> float:
-        """Root of the mean-square bound an uncorrelated family would obey."""
-        return math.sqrt(float(self.variances(n).sum())) / n
 
     def sample(self, count: int, seed: SeedSpec) -> SetSample:
         rho = self.rho if self.process == "ar1" else None

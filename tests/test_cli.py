@@ -223,8 +223,12 @@ def test_strict_flags_failure_exits_nonzero(command, capsys, tmp_path):
 
 
 def test_strict_ok_run_exits_zero(tmp_path):
-    # sample and hausdorff have no acceptance check, so strict never fails them
+    # sample and hausdorff have no acceptance check, so strict never fails them;
+    # a deterministic family has every gap 0 and a bound of 0
     for text in (WLLN_TEXT,
+                 "command = wlln\nfamily = deterministic\nbody = box 2 0 0 1 2\n"
+                 "grid_scheme = uniform_angles_2d\ngrid_count = 8\nn_grid = 5,20\n"
+                 "epsilon = 0.1\nreplications = 100\n",
                  "command = sample\nfamily = scaled_ar1\nrho = 0.99\nlength = 5\n",
                  "command = hausdorff\nbody_a = interval 0 1\nbody_b = interval 2 5\n"):
         config = parse_config(text)
@@ -249,14 +253,14 @@ def test_cli_end_to_end_repeatable_bytes(tmp_path):
     assert _dir_bytes(out1) == _dir_bytes(out2)
 
 
-def test_seed_override_changes_outputs(tmp_path):
+def test_seed_override_changes_outputs(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(WLLN_TEXT)
     out1, out2 = tmp_path / "o1", tmp_path / "o2"
-    r1 = _run_cli(["--config", str(cfg), "--out", str(out1)])
-    r2 = _run_cli(["--config", str(cfg), "--out", str(out2), "--seed", "43"])
-    assert r1.returncode == 0 and r2.returncode == 0
+    assert main(["--config", str(cfg), "--out", str(out1)]) == EXIT_OK
+    assert main(["--config", str(cfg), "--out", str(out2), "--seed", "43"]) == EXIT_OK
     assert _dir_bytes(out1) != _dir_bytes(out2)
+    assert "master_seed = 43" in (out2 / "manifest.txt").read_text().splitlines()
 
 
 def test_threads_flag_and_env_do_not_change_bytes(tmp_path):
@@ -378,6 +382,59 @@ def test_one_entry_log2_schedule_is_one_line_error(strict, tmp_path, capsys):
     err = captured.err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("setlaw: ") and "2 entries" in err[0], err
     assert "satisfied" not in captured.out
+
+
+_BOX_UNCORR = ("command = test-uncorr\nfamily = scaled_iid\nbody = box 2 0 0 1 1\n"
+               "grid_scheme = uniform_angles_2d\ngrid_count = 8\nlength = 3\n"
+               "replications = 100\n")
+
+
+@pytest.mark.parametrize("text,args,names", [
+    (WLLN_TEXT, ["--threads", "-1"], "--threads"),
+    (WLLN_TEXT + "replications 150\n", [], "expected 'key = value'"),
+    (WLLN_TEXT + " = 3\n", [], "empty key"),
+    (WLLN_TEXT.replace("command = wlln\n", ""), [], "'command'"),
+    (_BOX_UNCORR.replace("grid_count = 8\n", ""), [], "grid_count"),
+    (_BOX_UNCORR + "significance = 1.5\n", [], "significance"),
+    (SLLN_TEXT + "threshold = 0\n", [], "threshold"),
+    (WLLN_TEXT + "enforce_condition = maybe\n", [], "enforce_condition"),
+    ("command = check-cond\nkind = slln_mean\nvariances = 0.5,0.25\n", [], "kind"),
+    ("command = check-cond\nkind = slln_bounded\nvariances = 0.5,0.25\n", [], "bound_m"),
+    ("command = check-cond\nkind = slln_log2\n", [], "'variances'"),
+], ids=["threads", "no-equals", "empty-key", "no-command", "grid-scheme-alone",
+        "significance", "threshold", "enforce-condition", "kind", "bound-m",
+        "no-schedule"])
+def test_bad_input_is_one_line_error(text, args, names, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "o"), *args]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("setlaw: ") and names in err[0], err
+
+
+@pytest.mark.parametrize("family,key", [
+    ("scaled_iid\nbody = interval 0 1", "rho = 0.9"),
+    ("scaled_iid\nbody = interval 0 1", "block_dim = 4"),
+    ("scaled_ar1\nbody = interval 0 1\nrho = 0.5", "a = 2"),
+    ("deterministic\nbody = interval 0 1", "growth = 0.5"),
+    ("deterministic\nbody = interval 0 1", "rho = 0.5"),
+    ("ellipsoid_interval", "body = box 2 0 0 1 1"),
+    ("ellipsoid_interval", "growth = 0.5"),
+    ("ellipsoid_interval", "grid_seed = 3"),
+], ids=["iid-rho", "iid-block_dim", "ar1-a", "deterministic-growth", "deterministic-rho",
+        "interval-body", "interval-growth", "interval-grid_seed"])
+def test_family_key_the_family_never_reads_is_one_line_error(family, key, tmp_path,
+                                                             capsys):
+    name = key.split(" = ")[0]
+    text = f"command = sample\nfamily = {family}\n{key}\nlength = 5\n"
+    with pytest.raises(ConfigError, match=f"key '{name}' is not read by family"):
+        parse_config(text)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("setlaw: ") and repr(name) in err[0], err
+    assert not (tmp_path / "o").exists()
 
 
 # -- table writers: each writes what csv.writer would --------------------------------

@@ -36,7 +36,6 @@ from setlaw.sampling import (
     _ellipsoid_block,
     _restartable,
     _scalar_block,
-    _scalar_process,
 )
 
 UP = Direction((1.0,))
@@ -412,7 +411,8 @@ class _Ar1Stand:
 @pytest.mark.parametrize("rho", [0.9, -0.3, 0.0])
 @pytest.mark.parametrize("count", [1, 2, 1000])
 def test_ar1_recursions_equal_elementwise_loop(rho, count):
-    got = _scalar_process("ar1", count, SeedSpec(13, count).generator(), rho, None)
+    got = _scalar_block("ar1", count, lambda _row: SeedSpec(13, count).generator(), 1, rho,
+                        None)[0]
     want = _reference_ar1(count, SeedSpec(13, count).generator(), rho)
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
     variances = ScaledTemplateFamily._scale_variances(_Ar1Stand(rho), count)
