@@ -133,6 +133,9 @@ _FAMILY_READS = {
     "scaled_iid": ("body", "growth", *_GRID_KEYS),
     "scaled_ar1": ("body", "rho", "growth", *_GRID_KEYS),
 }
+# the check-cond keys each kind never reads
+_KIND_SKIPS = {"wlln_eq4": ("bound_m", "tail_window"),
+               "slln_bounded": ("threshold", "tail_window"), "slln_log2": ("bound_m",)}
 
 
 def _convert(key: str, kind: str, raw: str):
@@ -155,6 +158,13 @@ def _convert(key: str, kind: str, raw: str):
         raise ConfigError(f"key {key!r}: cannot parse {raw!r} as {kind}") from exc
 
 
+def _refuse_unread(command: str, params: dict, keys, reader: str) -> None:
+    """Refuse any of ``keys`` set off the parser's default: the run never reads it."""
+    for key in keys:
+        if params.get(key) != _SCHEMAS[command][key][2]:
+            raise ConfigError(f"key {key!r} is not read {reader}")
+
+
 def _validate(command: str, params: dict) -> None:
     if command in ("wlln",) and not params["epsilon"] > 0.0:
         raise ConfigError("epsilon must be > 0")
@@ -169,18 +179,21 @@ def _validate(command: str, params: dict) -> None:
             raise ConfigError(f"family must be one of {tuple(_FAMILY_READS)}")
         if params["family"] == "scaled_ar1" and params.get("rho") is None:
             raise ConfigError("missing required key 'rho' for family scaled_ar1")
-        # a key at its default value is one the parser fills in for every family
         reads = ("family", *_FAMILY_READS[params["family"]])
-        for key, (_, _, default) in _FAMILY_KEYS.items():
-            if key not in reads and params.get(key) != default:
-                raise ConfigError(f"key {key!r} is not read by family {params['family']!r}")
+        _refuse_unread(command, params, [k for k in _FAMILY_KEYS if k not in reads],
+                       f"by family {params['family']!r}")
+    if params.get("grid_scheme") != "seeded_random":
+        _refuse_unread(command, params, ["grid_seed"], "unless grid_scheme = seeded_random")
     if command == "check-cond":
-        if params["kind"] not in ("wlln_eq4", "slln_bounded", "slln_log2"):
+        if params["kind"] not in _KIND_SKIPS:
             raise ConfigError("kind must be wlln_eq4, slln_bounded, or slln_log2")
         if params["kind"] == "slln_bounded" and params.get("bound_m") is None:
             raise ConfigError("missing required key 'bound_m' for kind slln_bounded")
         if params.get("variances") is None and params.get("family") is None:
             raise ConfigError("check-cond needs either 'variances' or a 'family'")
+        _refuse_unread(command, params, _KIND_SKIPS[params["kind"]], f"by kind {params['kind']!r}")
+        if params.get("variances") is not None:
+            _refuse_unread(command, params, ["length", *_FAMILY_KEYS], "next to 'variances'")
 
 
 def parse_config(text: str) -> RunConfig:
@@ -345,11 +358,14 @@ def _write_manifest(out: Path, config: RunConfig, outputs: list[str],
 def _grid_from_params(dim: int, params: dict):
     scheme = params.get("grid_scheme")
     count = params.get("grid_count")
-    if dim == 1 or scheme is None and count is None:
+    if scheme is None and count is None:
         return _default_grid(dim)
     if scheme is None or count is None:
         raise ConfigError("grid_scheme and grid_count must be given together")
-    return make_direction_grid(dim, count, scheme, seed=params.get("grid_seed", 0))
+    try:
+        return make_direction_grid(dim, count, scheme, seed=params.get("grid_seed", 0))
+    except GeometryError as exc:
+        raise ConfigError(f"grid_scheme = {scheme}, grid_count = {count}: {exc}") from None
 
 
 def _family_from_params(params: dict):

@@ -168,7 +168,7 @@ class DirectionGrid:
 
         Normalized rows prefilter the pairs with |<u_i, u_j>| within about
         1e-12 of 1 (a row may be off unit norm by NORM_TOL, which would
-        shift its inner products by more than that); each candidate's
+        move its inner products by more than that); each candidate's
         distance is then recomputed by direct subtraction, which is exact
         for identical vectors where 1 - <u_i, u_j> loses all precision.
         """
@@ -290,12 +290,13 @@ class DirectionGrid:
 def make_direction_grid(dim: int, count: int, scheme: str, seed: int = 0) -> DirectionGrid:
     """Build an antipodal-closed direction grid.
 
-    Schemes: ``exact1d`` (dim 1, the two signs), ``uniform_angles_2d``
-    (dim 2, equally spaced angles), ``fibonacci_3d`` (dim 3, spiral points
-    plus antipodes), ``seeded_random`` (dim >= 2, normalized Gaussian
-    directions plus antipodes, deterministic in ``seed``).  For antipodal
-    schemes ``count`` must be even: count/2 directions are generated and
-    their exact negations appended.  ``seed`` must be >= 0 for every scheme.
+    Schemes: ``exact1d`` (the two signs: dim 1 and count 2 only, and the
+    one scheme in dim 1), ``uniform_angles_2d`` (dim 2, equally spaced
+    angles), ``fibonacci_3d`` (dim 3, spiral points plus antipodes),
+    ``seeded_random`` (dim >= 2, normalized Gaussian directions plus
+    antipodes, deterministic in ``seed``).  For antipodal schemes ``count``
+    must be even: count/2 directions are generated and their exact
+    negations appended.  ``seed`` must be >= 0 for every scheme.
     """
     if dim < 1:
         raise GeometryError("dim must be >= 1")
@@ -304,8 +305,8 @@ def make_direction_grid(dim: int, count: int, scheme: str, seed: int = 0) -> Dir
     if seed < 0:
         raise GeometryError(f"grid seed must be >= 0, not {seed}")
     if scheme == "exact1d":
-        if dim != 1:
-            raise GeometryError("scheme exact1d requires dim 1")
+        if dim != 1 or count != 2:
+            raise GeometryError(f"scheme exact1d is dim 1 with count 2, not dim {dim} count {count}")
         return DirectionGrid(np.array([[1.0], [-1.0]]), label="exact1d count=2")
     if dim == 1:
         raise GeometryError("dim 1 supports only the exact1d scheme")
@@ -329,8 +330,6 @@ def make_direction_grid(dim: int, count: int, scheme: str, seed: int = 0) -> Dir
         pts /= np.linalg.norm(pts, axis=1, keepdims=True)
         label = f"fibonacci_3d count={count}"
     elif scheme == "seeded_random":
-        if dim < 2:
-            raise GeometryError("scheme seeded_random requires dim >= 2")
         rng = np.random.default_rng(seed)
         pts = np.empty((half, dim))
         filled = 0
@@ -780,14 +779,14 @@ def hausdorff_distance(a: ConvexBody, b: ConvexBody,
                        grid: DirectionGrid | None = None) -> float:
     """Hausdorff distance via the support identity sup |s(u,a) - s(u,b)|.
 
-    Exact for d = 1 (the two sign directions are the whole sphere; any
-    grid argument is ignored).  For d >= 2 the max runs over the grid and
-    is a lower bound on the true distance that converges as the grid
-    refines; callers should record the grid size next to the value.
+    Exact for d = 1, whose only grid, the two signs, is the whole sphere.
+    For d >= 2 the max runs over the grid and is a lower bound on the true
+    distance that converges as the grid refines; callers should record the
+    grid size next to the value.  The grid must have the bodies' dimension.
     """
     if a.dim != b.dim:
         raise GeometryError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    if a.dim == 1:
+    if grid is None and a.dim == 1:
         grid = _default_grid(1)
     elif grid is None:
         if isinstance(a, Embedded) and isinstance(b, Embedded) and a.grid == b.grid:

@@ -118,15 +118,10 @@ def _restartable(rng: np.random.Generator) -> Streams:
 class EllipsoidFamilySpec:
     """Axis-aligned ellipsoid sum(x_i^2 / a_i^2) <= 1 centered at 0.
 
-    ``shift`` selects whether downstream constructions translate
-    coordinate i by +a_i to make it nonnegative.  When
-    ``enforce_sqrt_bound`` is set, every semi-axis must satisfy
-    a_i <= sqrt(dim).
+    The semi-axes are the whole spec; interval draws use Y_i = X_i + a_i.
     """
 
     semi_axes: tuple[float, ...]
-    shift: str = "none"
-    enforce_sqrt_bound: bool = False
 
     def __post_init__(self):
         axes = tuple(float(a) for a in self.semi_axes)
@@ -135,12 +130,6 @@ class EllipsoidFamilySpec:
             raise FamilyError("semi_axes must be nonempty")
         if any(not math.isfinite(a) or a <= 0.0 for a in axes):
             raise FamilyError("all semi-axes must be positive and finite")
-        if self.shift not in ("none", "to_positive"):
-            raise FamilyError(f"unknown shift mode {self.shift!r}")
-        if self.enforce_sqrt_bound:
-            limit = math.sqrt(len(axes)) + 1e-12
-            if any(a > limit for a in axes):
-                raise FamilyError(f"semi-axes must satisfy a_i <= sqrt(dim)={limit:.6g}")
 
     @property
     def dim(self) -> int:
@@ -252,12 +241,9 @@ def make_interval_family(spec: EllipsoidFamilySpec, count: int,
                          seed: SeedSpec) -> SetSample:
     """Coupled random intervals [0, Y_i] with Y_i = X_i + a_i >= 0.
 
-    Requires ``shift == 'to_positive'``.  The exact expected bodies
-    [0, a_i] ride along as metadata.  Lengths beyond ``dim`` concatenate
-    independent blocks, preserving pairwise uncorrelation.
+    The exact expected bodies [0, a_i] ride along as metadata.  Lengths beyond
+    ``dim`` concatenate independent blocks, preserving pairwise uncorrelation.
     """
-    if spec.shift != "to_positive":
-        raise FamilyError("interval families need shift='to_positive' so endpoints are >= 0")
     if count < 1:
         raise FamilyError("count must be >= 1")
     y = _shifted_block(spec, count, lambda _row: seed.generator(), 1)[0]
@@ -308,8 +294,6 @@ def _scalar_block(process: str, count: int, streams: Streams, size: int,
     if process == "uncorrelated_ellipsoid":
         if ellipsoid is None:
             raise FamilyError("process 'uncorrelated_ellipsoid' needs an ellipsoid spec")
-        if ellipsoid.shift != "to_positive":
-            raise FamilyError("scalar ellipsoid process needs shift='to_positive'")
         return _shifted_block(ellipsoid, count, streams, size)
     if process not in _PROCESSES:
         raise FamilyError(f"unknown scalar process {process!r}; choose one of {_PROCESSES}")
@@ -372,7 +356,7 @@ def make_generic_family(body_template: ConvexBody, scalar_process: str, count: i
 @lru_cache(maxsize=64)
 def _interval_spec(axes_pattern: tuple[float, ...], d: int,
                    clamp: bool) -> EllipsoidFamilySpec:
-    """Shifted d-axis spec cycling ``axes_pattern``, clamped to sqrt(d) if asked.
+    """d-axis spec cycling ``axes_pattern``, clamped to sqrt(d) if asked.
 
     Cached because the weak-law harness asks for the same spec at every
     replication; a spec is immutable, so sharing one is safe.
@@ -380,7 +364,7 @@ def _interval_spec(axes_pattern: tuple[float, ...], d: int,
     axes = np.resize(np.asarray(axes_pattern), d)
     if clamp:
         axes = np.minimum(axes, math.sqrt(d))
-    return EllipsoidFamilySpec(tuple(axes), shift="to_positive")
+    return EllipsoidFamilySpec(tuple(axes))
 
 
 @dataclass(frozen=True)

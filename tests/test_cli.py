@@ -389,6 +389,25 @@ _BOX_UNCORR = ("command = test-uncorr\nfamily = scaled_iid\nbody = box 2 0 0 1 1
                "replications = 100\n")
 
 
+_VARIANCES = "command = check-cond\nkind = wlln_eq4\nvariances = 1,1,1\n"
+_BOUNDED = "command = check-cond\nkind = slln_bounded\nbound_m = 1\nvariances = 0.5,0.25\n"
+
+# (id, config, key): each config writes a key its run never reads, off its default
+_UNREAD = [
+    ("uniform-grid_seed", _BOX_UNCORR + "grid_seed = 5\n", "grid_seed"),
+    ("default-grid-grid_seed", _BOX_UNCORR.replace("grid_scheme = uniform_angles_2d\n"
+                                                   "grid_count = 8\n", "grid_seed = 5\n"),
+     "grid_seed"),
+    ("variances-family", _VARIANCES + "family = scaled_iid\nbody = interval 0 4\n", "family"),
+    ("variances-a", _VARIANCES + "a = 2\n", "a"),
+    ("variances-length", _VARIANCES + "length = 7\n", "length"),
+    ("wlln_eq4-bound_m", _VARIANCES + "bound_m = 3\n", "bound_m"),
+    ("slln_bounded-tail_window", _BOUNDED + "tail_window = 4\n", "tail_window"),
+    ("slln_bounded-threshold", _BOUNDED + "threshold = 0.5\n", "threshold"),
+]
+_GRID_1D = "command = sample\nfamily = deterministic\nbody = interval 0 1\nlength = 3\n"
+
+
 @pytest.mark.parametrize("text,args,names", [
     (WLLN_TEXT, ["--threads", "-1"], "--threads"),
     (WLLN_TEXT + "replications 150\n", [], "expected 'key = value'"),
@@ -401,15 +420,32 @@ _BOX_UNCORR = ("command = test-uncorr\nfamily = scaled_iid\nbody = box 2 0 0 1 1
     ("command = check-cond\nkind = slln_mean\nvariances = 0.5,0.25\n", [], "kind"),
     ("command = check-cond\nkind = slln_bounded\nvariances = 0.5,0.25\n", [], "bound_m"),
     ("command = check-cond\nkind = slln_log2\n", [], "'variances'"),
+    (_GRID_1D + "grid_scheme = seeded_random\ngrid_count = 8\n", [], "grid_scheme"),
+    (_GRID_1D + "grid_scheme = exact1d\ngrid_count = 8\n", [], "grid_count"),
+    ("command = hausdorff\nbody_a = interval 0 1\nbody_b = interval 0 3\n"
+     "grid_scheme = uniform_angles_2d\ngrid_count = 8\n", [], "grid_scheme"),
+    *((text, [], f"key {key!r}") for _, text, key in _UNREAD),
 ], ids=["threads", "no-equals", "empty-key", "no-command", "grid-scheme-alone",
         "significance", "threshold", "enforce-condition", "kind", "bound-m",
-        "no-schedule"])
+        "no-schedule", "1d-seeded-grid", "1d-exact1d-count", "hausdorff-1d-2d-grid",
+        *(name for name, _, _ in _UNREAD)])
 def test_bad_input_is_one_line_error(text, args, names, tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(text)
     assert main(["--config", str(cfg), "--out", str(tmp_path / "o"), *args]) == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("setlaw: ") and names in err[0], err
+
+
+@pytest.mark.parametrize("text,key", [(text, key) for _, text, key in _UNREAD],
+                         ids=[name for name, _, _ in _UNREAD])
+def test_key_the_run_never_reads_is_refused_before_any_output(text, key, tmp_path):
+    with pytest.raises(ConfigError, match=f"key '{key}' is not read"):
+        parse_config(text)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("family,key", [

@@ -130,10 +130,10 @@ def _fold_parts(case: str, seed: int) -> list[np.ndarray]:
         return [p * (1.0, 1.0, 0.0) for p in gaussian]
     if case == "few":
         return [rng.normal(size=(k, 3)) for k in (1, 2, 3, 3)]
-    scale, shift = {"gaussian": (1.0, 0.0), "offset": (1.0, 1e8),
+    scale, delta = {"gaussian": (1.0, 0.0), "offset": (1.0, 1e8),
                     "tiny": (1e-6, 0.0), "huge": (1e6, 0.0),
                     "1e-200": (1e-200, 0.0), "1e200": (1e200, 0.0)}[case]
-    return [scale * p + shift for p in gaussian]
+    return [scale * p + delta for p in gaussian]
 
 
 def _fold(parts: list[np.ndarray]) -> tuple[Polytope, np.ndarray, float]:
@@ -246,6 +246,16 @@ def test_hausdorff_1d_examples():
     assert hausdorff_distance(zero_body(1), Interval(-2, 5)) == 5.0
 
 
+def test_hausdorff_1d_takes_only_a_1d_grid():
+    a, b = Interval(0, 1), Interval(0, 3)
+    assert hausdorff_distance(a, b, make_direction_grid(1, 2, "exact1d")) == 2.0
+    grid = make_direction_grid(2, 8, "uniform_angles_2d")
+    with pytest.raises(GeometryError, match="grid dim 2"):
+        hausdorff_distance(a, b, grid)
+    with pytest.raises(GeometryError, match="grid dim 2"):
+        set_norm(Interval(-2, 5), grid)
+
+
 def test_hausdorff_polygons_match_dense_oracle():
     rng = np.random.default_rng(2024)
     grid = make_direction_grid(2, 4096, "uniform_angles_2d")
@@ -310,6 +320,8 @@ def test_exact1d_grid():
     grid = make_direction_grid(1, 2, "exact1d")
     assert sorted(d.components[0] for d in grid) == [-1.0, 1.0]
     assert grid.antipodal_closed
+    with pytest.raises(GeometryError, match="count 2"):
+        make_direction_grid(1, 8, "exact1d")
 
 
 def test_quarter_turn_grid():

@@ -118,16 +118,10 @@ def test_points_stay_inside_the_ellipsoid():
     assert np.all((x / np.asarray(spec.semi_axes)) ** 2 @ np.ones(2) <= 1.0 + 1e-12)
 
 
-def test_sqrt_bound_enforcement():
-    EllipsoidFamilySpec((1.0, 1.0, 1.7), enforce_sqrt_bound=True)
-    with pytest.raises(FamilyError):
-        EllipsoidFamilySpec((1.0, 2.0, 3.0), enforce_sqrt_bound=True)
-
-
 # -- interval family -----------------------------------------------------------
 
 def test_interval_family_endpoints_bounded():
-    spec = EllipsoidFamilySpec((1.0, 1.0), shift="to_positive")
+    spec = EllipsoidFamilySpec((1.0, 1.0))
     sample = make_interval_family(spec, 2000, SeedSpec(16))
     his = np.array([b.hi for b in sample.bodies])
     assert np.all(his >= 0.0)
@@ -136,7 +130,7 @@ def test_interval_family_endpoints_bounded():
 
 
 def test_interval_family_expectation_metadata():
-    spec = EllipsoidFamilySpec((1.0, 2.0), shift="to_positive")
+    spec = EllipsoidFamilySpec((1.0, 2.0))
     sample = make_interval_family(spec, 4, SeedSpec(17))
     assert sample.expectations == (Interval(0, 1), Interval(0, 2),
                                    Interval(0, 1), Interval(0, 2))
@@ -144,7 +138,7 @@ def test_interval_family_expectation_metadata():
 
 def test_interval_family_upper_endpoint_variance():
     n, count = 4, 80_000
-    spec = EllipsoidFamilySpec((1.0,) * n, shift="to_positive")
+    spec = EllipsoidFamilySpec((1.0,) * n)
     sample = make_interval_family(spec, count * n, SeedSpec(18))
     his = np.array([b.hi for b in sample.bodies]).reshape(count, n)
     target = interval_family_variances(spec)
@@ -152,9 +146,11 @@ def test_interval_family_upper_endpoint_variance():
     assert np.all(np.abs(his.var(axis=0, ddof=1) - target) <= 5 * se)
 
 
-def test_interval_family_requires_positive_shift():
-    with pytest.raises(FamilyError, match="to_positive"):
-        make_interval_family(EllipsoidFamilySpec((1.0,)), 3, SeedSpec(1))
+def test_interval_family_from_a_plain_spec():
+    axes = (1.0, 2.0, 0.5)
+    got = make_interval_family(EllipsoidFamilySpec(axes), 7, SeedSpec(1))
+    want = EllipsoidIntervalFamily(axes, block_dim=len(axes)).sample(7, SeedSpec(1))
+    assert got.bodies == want.bodies
 
 
 # -- ellipse pairs --------------------------------------------------------------
@@ -217,7 +213,7 @@ def test_ar1_lag_one_support_covariance_positive():
 
 
 def test_ellipsoid_process_reduces_to_interval_family():
-    spec = EllipsoidFamilySpec((1.0, 2.0), shift="to_positive")
+    spec = EllipsoidFamilySpec((1.0, 2.0))
     via_generic = make_generic_family(Interval(0, 1), "uncorrelated_ellipsoid", 6,
                                       SeedSpec(22), ellipsoid=spec)
     via_family = make_interval_family(spec, 6, SeedSpec(22))
@@ -330,7 +326,7 @@ def _fresh_gaps(fam, n, master, reps):
         axes = np.resize(np.asarray(fam.axes_pattern), d)
         if fam.block_dim is None:
             axes = np.minimum(axes, math.sqrt(d))
-        spec = EllipsoidFamilySpec(tuple(axes), shift="to_positive")
+        spec = EllipsoidFamilySpec(tuple(axes))
         a = np.asarray(spec.semi_axes)
         z = rng.standard_normal((-(-n // d), d))
         radii = rng.random(len(z)) ** (1.0 / d)
@@ -576,7 +572,7 @@ class _ZeroRowStream:
 @pytest.mark.parametrize("zero_calls", [1, 2])
 @pytest.mark.parametrize("axes", [(1.0,), (1.0, 2.0, 0.5)])
 def test_zero_norm_rows_are_redrawn_as_before(zero_calls, axes):
-    spec = EllipsoidFamilySpec(axes, shift="to_positive")
+    spec = EllipsoidFamilySpec(axes)
     made = []
 
     def streams(i):  # row 1 forces the redraw; rows 0 and 2 are plain streams

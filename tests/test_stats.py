@@ -265,7 +265,7 @@ def test_linear_variance_fails_quadratic_mean_condition():
 
 def test_family_schedule_stays_under_envelope():
     for n in (5, 17, 64, 200):
-        spec = EllipsoidFamilySpec((1.0,) * n, shift="to_positive")
+        spec = EllipsoidFamilySpec((1.0,) * n)
         schedule = VarianceSchedule(EXACT_1D,
                                     np.column_stack([interval_family_variances(spec),
                                                      np.zeros(n)]))
