@@ -8,8 +8,9 @@ a fixed seed the emitted bytes are identical at any ``--threads`` value.
 This module writes every output file; ``harness`` and ``stats`` only compute.
 
 Every command runs through :func:`dispatch`.  It builds the family when the
-config names one and calls the command's step, which writes the command's
-own files and returns an :class:`Outcome`.  Then it writes the manifest,
+config names one and calls the command's step, which makes the output
+directory only when it writes its files, so a refused run leaves none, and
+returns an :class:`Outcome`.  Then :func:`dispatch` writes the manifest,
 prints the outcome's stdout text and, under ``--strict``, exits 2 with one
 ``strict:`` line on stderr when the outcome names a failure.
 """
@@ -24,7 +25,7 @@ import sys
 from dataclasses import dataclass, replace
 from itertools import islice
 from pathlib import Path
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from . import __version__
 from .geometry import (
@@ -404,7 +405,7 @@ def _law_outcome(report, out: Path, write_detail, write_summary, stdout: str,
                    failure)
 
 
-def _cmd_wlln(config: RunConfig, family, out: Path, threads: int) -> Outcome:
+def _cmd_wlln(config: RunConfig, family, out: Callable[[], Path], threads: int) -> Outcome:
     p = config.params
     report = run_wlln(WllnConfig(family, p["n_grid"], p["epsilon"], p["replications"],
                                  SeedSpec(config.master_seed)),
@@ -415,11 +416,11 @@ def _cmd_wlln(config: RunConfig, family, out: Path, threads: int) -> Outcome:
         + ("" if row.bound_ok is None else f" ok={'yes' if row.bound_ok else 'NO'}")
         for row in report.rows)
     bad = [row.n for row in report.rows if row.bound_ok is False]
-    return _law_outcome(report, out, write_wlln_detail_csv, write_wlln_summary_csv, stdout,
+    return _law_outcome(report, out(), write_wlln_detail_csv, write_wlln_summary_csv, stdout,
                         f"exceedance above analytic bound at n={bad}" if bad else None)
 
 
-def _cmd_slln(config: RunConfig, family, out: Path, threads: int) -> Outcome:
+def _cmd_slln(config: RunConfig, family, out: Callable[[], Path], threads: int) -> Outcome:
     p = config.params
     report = run_slln(SllnConfig(family, p["max_n"], p["paths"], SeedSpec(config.master_seed),
                                  checkpoints=p.get("checkpoints"), threshold=p["threshold"],
@@ -427,33 +428,34 @@ def _cmd_slln(config: RunConfig, family, out: Path, threads: int) -> Outcome:
                       threads=threads)
     final, passed = report.rows[-1], report.metadata["paths_passed"]
     failed = not report.detail["path_pass"].all()
-    return _law_outcome(report, out, write_slln_detail_csv, write_slln_summary_csv,
+    return _law_outcome(report, out(), write_slln_detail_csv, write_slln_summary_csv,
                         f"final n={final.n} mean_s_n_over_n={final.mean_value:.6g} "
                         f"max={final.max_value:.6g} paths_passed={passed}",
                         f"{passed} paths passed the threshold/decrease check"
                         if failed else None)
 
 
-def _cmd_test_uncorr(config: RunConfig, family, out: Path, threads: int) -> Outcome:
+def _cmd_test_uncorr(config: RunConfig, family, out: Callable[[], Path], threads: int) -> Outcome:
     length = config.params["length"]
     reps = [family.sample(length, SeedSpec(config.master_seed, r))
             for r in range(config.params["replications"])]
     verdict = test_uncorrelated(reps, family.grid, config.params["significance"])
-    write_verdict_csv(verdict, out / "uncorrelation.csv")
+    write_verdict_csv(verdict, out() / "uncorrelation.csv")
     return Outcome(["uncorrelation.csv"], family.grid.label, family.describe(length),
                    f"verdict={verdict.verdict} max_abs_corr={verdict.max_abs_corr:.6g} "
                    f"threshold={verdict.threshold:.6g}",
                    "uncorrelation rejected" if verdict.verdict == "rejected" else None)
 
 
-def _cmd_sample(config: RunConfig, family, out: Path, threads: int) -> Outcome:
+def _cmd_sample(config: RunConfig, family, out: Callable[[], Path], threads: int) -> Outcome:
     sample = family.sample(config.params["length"], SeedSpec(config.master_seed))
-    write_set_sample(sample, out / "sample.txt")
+    path = out() / "sample.txt"
+    write_set_sample(sample, path)
     return Outcome(["sample.txt"], family.grid.label, family.describe(len(sample)),
-                   f"wrote {len(sample)} bodies to {out / 'sample.txt'}", None)
+                   f"wrote {len(sample)} bodies to {path}", None)
 
 
-def _cmd_hausdorff(config: RunConfig, family, out: Path, threads: int) -> Outcome:
+def _cmd_hausdorff(config: RunConfig, family, out: Callable[[], Path], threads: int) -> Outcome:
     body_a = parse_body(config.params["body_a"])
     body_b = parse_body(config.params["body_b"])
     grid = _grid_from_params(body_a.dim, config.params)
@@ -461,7 +463,7 @@ def _cmd_hausdorff(config: RunConfig, family, out: Path, threads: int) -> Outcom
     return Outcome([], grid.label, "-", repr(float(value)), None)
 
 
-def _cmd_check_cond(config: RunConfig, family, out: Path, threads: int) -> Outcome:
+def _cmd_check_cond(config: RunConfig, family, out: Callable[[], Path], threads: int) -> Outcome:
     params = config.params
     if params.get("variances") is not None:
         schedule = VarianceSchedule(_default_grid(1), list(params["variances"]))
@@ -472,7 +474,7 @@ def _cmd_check_cond(config: RunConfig, family, out: Path, threads: int) -> Outco
     result = evaluate_variance_condition(
         schedule, params["kind"], bound=params.get("bound_m"),
         threshold=params["threshold"], tail_window=params["tail_window"])
-    _write_curve(out / "condition.csv", enumerate(result.trajectory.tolist(), start=1))
+    _write_curve(out() / "condition.csv", enumerate(result.trajectory.tolist(), start=1))
     return Outcome(["condition.csv"], schedule.grid.label, family_label,
                    f"kind={result.kind} satisfied={'yes' if result.satisfied else 'no'} "
                    f"({result.note})",
@@ -493,11 +495,13 @@ _COMMANDS = {
 def dispatch(config: RunConfig, out_dir: str | None = None, threads: int = 1,
              strict: bool = False) -> int:
     """Run one command; write its files and manifest; return an exit code."""
-    out = Path(out_dir if out_dir is not None else config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    path = Path(out_dir if out_dir is not None else config.output_dir)
+    def out() -> Path:  # made at the first write, after every check that can refuse the run
+        path.mkdir(parents=True, exist_ok=True)
+        return path
     family = _family_from_params(config.params) if "family" in config.params else None
     result = _COMMANDS[config.command](config, family, out, threads)
-    _write_manifest(out, config, result.files + ["manifest.txt"], result.grid,
+    _write_manifest(out(), config, result.files + ["manifest.txt"], result.grid,
                     result.family)
     print(result.stdout)
     if strict and result.failure is not None:

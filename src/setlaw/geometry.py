@@ -402,14 +402,6 @@ class Box(ConvexBody):
     def dim(self) -> int:
         return len(self.lo)
 
-    @cached_property
-    def lo_vec(self) -> np.ndarray:
-        return _readonly(self.lo)
-
-    @cached_property
-    def hi_vec(self) -> np.ndarray:
-        return _readonly(self.hi)
-
 
 class Polytope(ConvexBody):
     """Convex hull of a finite vertex list, stored as an (k, d) array.
@@ -756,9 +748,9 @@ def scalar_mul(lam: float, body: ConvexBody) -> ConvexBody:
         x, y = lam * body.lo, lam * body.hi
         return Interval(min(x, y), max(x, y))
     if isinstance(body, Box):
-        x = lam * body.lo_vec
-        y = lam * body.hi_vec
-        return Box(tuple(np.minimum(x, y)), tuple(np.maximum(x, y)))
+        # (y, x): on a tie such as -0.0 == 0.0 keep y, np.minimum's sign, which outputs pin
+        pairs = [(lam * a, lam * b) for a, b in zip(body.lo, body.hi)]
+        return Box(tuple(min(y, x) for x, y in pairs), tuple(max(y, x) for x, y in pairs))
     if isinstance(body, Polytope):
         return Polytope(lam * body.vertices)
     if isinstance(body, Ellipsoid):

@@ -288,17 +288,9 @@ def _ar1(u: np.ndarray, rho: float) -> np.ndarray:
     return np.array(rows)
 
 
-def _scalar_block(process: str, count: int, streams: Streams, size: int,
-                  rho: float | None, ellipsoid: EllipsoidFamilySpec | None) -> np.ndarray:
-    """(size, count) scalar sequences; row i draws from ``streams(i)``."""
-    if process == "uncorrelated_ellipsoid":
-        if ellipsoid is None:
-            raise FamilyError("process 'uncorrelated_ellipsoid' needs an ellipsoid spec")
-        return _shifted_block(ellipsoid, count, streams, size)
-    if process not in _PROCESSES:
-        raise FamilyError(f"unknown scalar process {process!r}; choose one of {_PROCESSES}")
-    if process == "ar1" and (rho is None or not abs(rho) < 1.0):
-        raise FamilyError("process 'ar1' needs |rho| < 1")
+def _scalar_block(process: str, count: int, streams: Streams, size: int, rho: float) -> np.ndarray:
+    """(size, count) scalar sequences; row i draws from ``streams(i)``.  It checks nothing:
+    ``ScaledTemplateFamily.__post_init__`` and ``make_generic_family`` check process and rho."""
     u = np.empty((size, count))
     for i in range(size):
         streams(i).random(out=u[i])
@@ -332,12 +324,22 @@ def make_generic_family(body_template: ConvexBody, scalar_process: str, count: i
 
     ``growth`` multiplies c_k by k**growth, giving controls whose
     per-index variance grows with k.  A process realization that would
-    scale by a negative value is an error, not a silent clamp.
+    scale by a negative value is an error, not a silent clamp.  The process,
+    ``rho`` and ``ellipsoid`` are checked here, as ``_scalar_block`` checks nothing.
     """
     if count < 1:
         raise FamilyError("count must be >= 1")
-    c = _scalar_block(scalar_process, count, lambda _row: seed.generator(), 1, rho,
-                      ellipsoid)[0] * _growth_factors(growth, count)
+    if scalar_process not in _PROCESSES:
+        raise FamilyError(f"unknown scalar process {scalar_process!r}; choose one of {_PROCESSES}")
+    if scalar_process == "ar1" and (rho is None or not abs(rho) < 1.0):
+        raise FamilyError("process 'ar1' needs |rho| < 1")
+    if scalar_process == "uncorrelated_ellipsoid":
+        if ellipsoid is None:
+            raise FamilyError("process 'uncorrelated_ellipsoid' needs an ellipsoid spec")
+        c = _shifted_block(ellipsoid, count, lambda _row: seed.generator(), 1)[0]
+    else:
+        c = _scalar_block(scalar_process, count, lambda _row: seed.generator(), 1, rho)[0]
+    c = c * _growth_factors(growth, count)
     if np.any(c < 0.0):
         k = int(np.argmax(c < 0.0))
         raise FamilyError(f"scalar process produced negative scale c_{k} = {c[k]!r}")
@@ -576,8 +578,7 @@ class ScaledTemplateFamily(_OnGrid):
     def support_block(self, n: int, streams: Streams, size: int) -> np.ndarray:
         """(n, size, m) support values of ``size`` draws of n bodies,
         length-major; draw i comes from ``streams(i)``."""
-        rho = self.rho if self.process == "ar1" else None
-        c = _scalar_block(self.process, n, streams, size, rho, None) * self._growth_factors(n)
+        c = _scalar_block(self.process, n, streams, size, self.rho) * self._growth_factors(n)
         t = self._template_supports
         return np.multiply(c.T[:, :, None], t, out=np.empty((n, size, len(t))))
 
@@ -601,9 +602,8 @@ class ScaledTemplateFamily(_OnGrid):
         return total / (epsilon * n) ** 2
 
     def sample(self, count: int, seed: SeedSpec) -> SetSample:
-        rho = self.rho if self.process == "ar1" else None
         return make_generic_family(self.template, self.process, count, seed,
-                                   rho=rho, growth=self.growth)
+                                   rho=self.rho, growth=self.growth)
 
 
 # ---------------------------------------------------------------------------

@@ -96,7 +96,8 @@ class VarianceSchedule:
     def empirical(cls, replications: Sequence[SetSample],
                   grid: DirectionGrid | None = None) -> "VarianceSchedule":
         tensor, grid = _support_tensor(replications, grid)
-        return cls(grid, tensor.var(axis=0, ddof=1), source="empirical")
+        centered = tensor - tensor.mean(axis=0)
+        return cls(grid, _covariance(centered, centered), source="empirical")
 
     def __len__(self) -> int:
         return self.per_index.shape[0]
@@ -108,15 +109,14 @@ class UncorrelationVerdict:
 
     ``pairs`` holds the tested index pairs (k, l), k < l, in row-major
     order; ``covariance`` and ``correlation`` have one row per pair and
-    one column per grid direction.
+    one column per grid direction; their shapes are checked here.  ``max_abs_corr``
+    and ``verdict`` are read off ``correlation``, so no stored copy can disagree.
     """
 
-    max_abs_corr: float
     threshold: float
     pairs: np.ndarray
     covariance: np.ndarray
     correlation: np.ndarray
-    verdict: str  # "consistent" or "rejected"
 
     def __post_init__(self):
         for name in ("pairs", "covariance", "correlation"):
@@ -126,18 +126,23 @@ class UncorrelationVerdict:
         if self.covariance.shape != self.correlation.shape or \
                 self.pairs.shape != (self.correlation.shape[0], 2):
             raise StatsError("one covariance and correlation row per tested pair required")
-        rejected = self.max_abs_corr > self.threshold
-        if (self.verdict == "rejected") != rejected:
-            raise StatsError("verdict must be 'rejected' exactly when max |corr| > threshold")
 
     def __eq__(self, other) -> bool:
-        """Equal when every number is equal, arrays compared element by element."""
+        """Equal when every field is equal, arrays compared element by element."""
         if not isinstance(other, UncorrelationVerdict):
             return NotImplemented
-        return (self.max_abs_corr, self.threshold, self.verdict) == \
-            (other.max_abs_corr, other.threshold, other.verdict) and all(
-                np.array_equal(getattr(self, name), getattr(other, name))
-                for name in ("pairs", "covariance", "correlation"))
+        return all(np.array_equal(getattr(self, name), getattr(other, name))
+                   for name in ("threshold", "pairs", "covariance", "correlation"))
+
+    @property
+    def max_abs_corr(self) -> float:
+        """Largest |correlation|; 0.0 when no pair was tested."""
+        return float(np.abs(self.correlation).max(initial=0.0))
+
+    @property
+    def verdict(self) -> str:
+        """``rejected`` exactly when max |corr| exceeds the threshold, else ``consistent``."""
+        return "rejected" if self.max_abs_corr > self.threshold else "consistent"
 
     @property
     def rejected(self) -> np.ndarray:
@@ -248,10 +253,7 @@ def test_uncorrelated(replications: Sequence[SetSample],
     # one pair at a time keeps temporaries at (R, m), not (R, pairs, m)
     covariance = np.stack([_covariance(tensor[:, k], tensor[:, l]) for k, l in zip(kk, ll)])
     correlation = _correlation(covariance, variances[kk], variances[ll])
-    max_abs = float(np.abs(correlation).max(initial=0.0))
-    verdict = "rejected" if max_abs > threshold else "consistent"
-    return UncorrelationVerdict(max_abs, threshold, np.column_stack([kk, ll]),
-                                covariance, correlation, verdict)
+    return UncorrelationVerdict(threshold, np.column_stack([kk, ll]), covariance, correlation)
 
 
 test_uncorrelated.__test__ = False  # a library op, not a pytest case

@@ -1,7 +1,8 @@
-"""The names the benchmark wraps must exist in the library.
+"""The names the benchmark wraps must exist in the library, on the path it times.
 
 ``bench/spans.py`` and ``bench/child.py`` patch library attributes by
-name, so renaming one silently drops a metric or breaks the benchmark.
+name, so renaming one silently drops a metric or breaks the benchmark,
+and moving a call off the patched name leaves its span empty.
 ``install`` monkeypatches the library, so it runs in a subprocess.
 """
 
@@ -36,3 +37,25 @@ def test_every_benchmark_hook_finds_its_name():
                             env=env, cwd=ROOT)
     assert result.returncode == 0, result.stderr
     assert json.loads(result.stdout) == {"absent": [], "missing": []}
+
+
+_BOX_UNCORR = ("command = test-uncorr\nseed = 5\nfamily = scaled_iid\n"
+               "body = box 2 -1 -0.5 1 2\ngrid_scheme = uniform_angles_2d\n"
+               "grid_count = 16\nlength = 4\nreplications = 30\n")
+
+
+def test_traced_uncorr_run_records_a_span_at_every_stage(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(_BOX_UNCORR)
+    report = tmp_path / "report.json"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "bench" / "child.py"), "--report", str(report),
+         "--trace", "1", "cli", "--", "--config", str(cfg), "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, cwd=ROOT)
+    assert result.returncode == 0, result.stderr
+    data = json.loads(report.read_text())
+    assert data["missing_hooks"] == []
+    assert data["t_setup"] is not None and data["t_ops_end"] is not None
+    recorded = {span[0] for span in data["spans"]}
+    assert {"sampling.sample", "stats.tensor", "stats.uncorr", "cli.write"} <= recorded

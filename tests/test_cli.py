@@ -424,17 +424,20 @@ _GRID_1D = "command = sample\nfamily = deterministic\nbody = interval 0 1\nlengt
     (_GRID_1D + "grid_scheme = exact1d\ngrid_count = 8\n", [], "grid_count"),
     ("command = hausdorff\nbody_a = interval 0 1\nbody_b = interval 0 3\n"
      "grid_scheme = uniform_angles_2d\ngrid_count = 8\n", [], "grid_scheme"),
+    (WLLN_TEXT.replace("replications = 150", "replications = 50"), [], "replications"),
     *((text, [], f"key {key!r}") for _, text, key in _UNREAD),
 ], ids=["threads", "no-equals", "empty-key", "no-command", "grid-scheme-alone",
         "significance", "threshold", "enforce-condition", "kind", "bound-m",
         "no-schedule", "1d-seeded-grid", "1d-exact1d-count", "hausdorff-1d-2d-grid",
-        *(name for name, _, _ in _UNREAD)])
+        "wlln-replications", *(name for name, _, _ in _UNREAD)])
 def test_bad_input_is_one_line_error(text, args, names, tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(text)
     assert main(["--config", str(cfg), "--out", str(tmp_path / "o"), *args]) == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("setlaw: ") and names in err[0], err
+    # the family, the grid and the run config are refused before the directory is made
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("text,key", [(text, key) for _, text, key in _UNREAD],

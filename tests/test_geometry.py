@@ -233,6 +233,16 @@ def test_scalar_mul_embedded_negative_needs_antipodal_grid():
         scalar_mul(-2.0, lopsided)
 
 
+@pytest.mark.parametrize("lam", [3.0, -2.0])
+def test_scalar_mul_box_keeps_numpy_min_max_bits(lam):
+    # axes (-0.0, 0.0), (0.0, 0.0), (-1, 0.0): scaling makes ties between signed zeros
+    box = Box((-0.0, 0.0, -1.0), (0.0, 0.0, 0.0))
+    x, y = lam * np.array(box.lo), lam * np.array(box.hi)
+    scaled = scalar_mul(lam, box)
+    assert np.array(scaled.lo).tobytes() == np.minimum(x, y).tobytes()
+    assert np.array(scaled.hi).tobytes() == np.maximum(x, y).tobytes()
+
+
 def test_scalar_mul_ellipsoid():
     body = scalar_mul(-2.0, Ellipsoid((1.0, 0.0), (1.0, 2.0)))
     assert body == Ellipsoid((-2.0, 0.0), (2.0, 4.0))

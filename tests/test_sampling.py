@@ -407,8 +407,7 @@ class _Ar1Stand:
 @pytest.mark.parametrize("rho", [0.9, -0.3, 0.0])
 @pytest.mark.parametrize("count", [1, 2, 1000])
 def test_ar1_recursions_equal_elementwise_loop(rho, count):
-    got = _scalar_block("ar1", count, lambda _row: SeedSpec(13, count).generator(), 1, rho,
-                        None)[0]
+    got = _scalar_block("ar1", count, lambda _row: SeedSpec(13, count).generator(), 1, rho)[0]
     want = _reference_ar1(count, SeedSpec(13, count).generator(), rho)
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
     variances = ScaledTemplateFamily._scale_variances(_Ar1Stand(rho), count)
@@ -423,7 +422,7 @@ def test_ar1_recursions_equal_elementwise_loop(rho, count):
 @pytest.mark.parametrize("rho", [0.9, -0.3, 0.0])
 @pytest.mark.parametrize("size", [1, 3])
 def test_ar1_block_rows_equal_elementwise_loop(rho, size):
-    got = _scalar_block("ar1", 300, lambda i: SeedSpec(14, i).generator(), size, rho, None)
+    got = _scalar_block("ar1", 300, lambda i: SeedSpec(14, i).generator(), size, rho)
     want = np.stack([_reference_ar1(300, SeedSpec(14, i).generator(), rho)
                      for i in range(size)])
     assert got.shape == want.shape and got.tobytes() == want.tobytes()

@@ -120,6 +120,18 @@ def test_deterministic_sequence_is_consistent():
     assert verdict.max_abs_corr == 0.0
 
 
+def test_verdict_is_read_off_the_correlations():
+    pairs = np.array([[0, 1]])
+    corr = np.array([[0.25, -0.5]])
+    at_threshold = UncorrelationVerdict(0.5, pairs, np.zeros((1, 2)), corr)
+    assert at_threshold.max_abs_corr == 0.5 and at_threshold.verdict == "consistent"
+    above = UncorrelationVerdict(0.4999, pairs, np.zeros((1, 2)), corr)
+    assert above.verdict == "rejected"
+    no_pairs = UncorrelationVerdict(0.5, np.empty((0, 2), int), np.empty((0, 3)),
+                                    np.empty((0, 3)))
+    assert no_pairs.max_abs_corr == 0.0 and no_pairs.verdict == "consistent"
+
+
 def test_uncorrelated_needs_replications():
     fam = EllipsoidIntervalFamily((1.0,), block_dim=3)
     with pytest.raises(StatsError, match="replications"):
@@ -322,6 +334,17 @@ def test_non_finite_support_values_raise():
             Direction((float("nan"),)))
 
 
+def test_empirical_schedule_is_the_unbiased_sample_variance():
+    from setlaw.stats import _support_tensor
+    grid = make_direction_grid(2, 16, "uniform_angles_2d")
+    fam = ScaledTemplateFamily(Box((-1.0, -0.5), (1.0, 2.0)), "ar1", rho=0.6,
+                               direction_grid=grid)
+    reps = [fam.sample(6, SeedSpec(41, r)) for r in range(40)]
+    want = _support_tensor(reps, grid)[0].var(axis=0, ddof=1)
+    got = VarianceSchedule.empirical(reps, grid).per_index
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 def test_empirical_schedule_approximates_analytic_variances():
     fam = EllipsoidIntervalFamily((1.0,), block_dim=4)
     reps = [fam.sample(4, SeedSpec(40, r)) for r in range(5000)]
@@ -469,8 +492,7 @@ def test_verdict_csv_is_what_csv_writer_writes(tmp_path):
     nan, inf = float("nan"), float("inf")
     corr = np.array([[nan, inf, -inf, -0.0], [1e-300, 0.25, -0.75, 1.0]])
     cov = np.array([[-0.0, 1e-300, nan, inf], [-inf, 3.5, -1e-300, 0.0]])
-    verdict = UncorrelationVerdict(1.0, 0.5, np.array([[0, 1], [1, 2]]), cov, corr,
-                                   "rejected")
+    verdict = UncorrelationVerdict(0.5, np.array([[0, 1], [1, 2]]), cov, corr)
     write_verdict_csv(verdict, tmp_path / "got.csv")
     with open(tmp_path / "want.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -492,6 +514,5 @@ def test_verdicts_compare_by_value():
     assert verdict == test_uncorrelated(reps)
     changed = verdict.correlation.copy()
     changed[0, 0] = 0.5 * changed[0, 0] + 0.25
-    assert verdict != UncorrelationVerdict(verdict.max_abs_corr, verdict.threshold,
-                                           verdict.pairs, verdict.covariance, changed,
-                                           verdict.verdict)
+    assert verdict != UncorrelationVerdict(verdict.threshold, verdict.pairs,
+                                           verdict.covariance, changed)
