@@ -257,16 +257,17 @@ class DirectionGrid:
     def __repr__(self) -> str:
         return f"DirectionGrid({self.label})"
 
-    def index_of(self, u: Direction, tol: float = DUPLICATE_TOL) -> int | None:
-        """Index of the grid direction matching u within chordal tol, else None."""
+    def index_of(self, u: Direction) -> int | None:
+        """Index of the grid direction within chordal DUPLICATE_TOL of u, else None
+        (also None when u has another dimension)."""
         if u.dim != self.dim:
             return None
-        idx, hit = self._nearest(u.vector[None, :], tol)
+        idx, hit = self._nearest(u.vector[None, :])
         return int(idx[0]) if hit[0] else None
 
-    def _nearest(self, U: np.ndarray,
-                 tol: float = DUPLICATE_TOL) -> tuple[np.ndarray, np.ndarray]:
-        """Nearest grid index of each row of U, and whether it lies within chordal tol.
+    def _nearest(self, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Nearest grid index of each row of U, and whether it lies within
+        chordal DUPLICATE_TOL, the separation every grid keeps between its rows.
 
         In 2-D the nearest direction to a row is one of the two either side
         of its angle in the grid's angular order (across the +-pi seam), so
@@ -280,11 +281,11 @@ class DirectionGrid:
             pair = np.column_stack([np.minimum(below, above), np.maximum(below, above)])
             nearer = np.argmin(np.sum((U[:, None, :] - m[pair]) ** 2, axis=2), axis=1)
             idx = pair[np.arange(len(U)), nearer]
-            return idx, np.linalg.norm(U - m[idx], axis=1) <= tol
+            return idx, np.linalg.norm(U - m[idx], axis=1) <= DUPLICATE_TOL
         idx = np.empty(len(U), dtype=np.intp)
         for rows in _row_blocks(len(U), m.size):
             idx[rows] = np.argmin(np.sum((U[rows, None, :] - m) ** 2, axis=2), axis=1)
-        return idx, np.linalg.norm(U - m[idx], axis=1) <= tol
+        return idx, np.linalg.norm(U - m[idx], axis=1) <= DUPLICATE_TOL
 
 
 def make_direction_grid(dim: int, count: int, scheme: str, seed: int = 0) -> DirectionGrid:
@@ -744,11 +745,12 @@ def scalar_mul(lam: float, body: ConvexBody) -> ConvexBody:
         if isinstance(body, Embedded):
             return Embedded(SupportVector(body.grid, np.zeros(len(body.grid))))
         return Polytope(np.zeros((1, body.dim)))
+    # (y, x): on a tie such as -0.0 == 0.0 both branches keep y, np.minimum's
+    # sign, which outputs pin
     if isinstance(body, Interval):
         x, y = lam * body.lo, lam * body.hi
-        return Interval(min(x, y), max(x, y))
+        return Interval(min(y, x), max(y, x))
     if isinstance(body, Box):
-        # (y, x): on a tie such as -0.0 == 0.0 keep y, np.minimum's sign, which outputs pin
         pairs = [(lam * a, lam * b) for a, b in zip(body.lo, body.hi)]
         return Box(tuple(min(y, x) for x, y in pairs), tuple(max(y, x) for x, y in pairs))
     if isinstance(body, Polytope):

@@ -111,14 +111,14 @@ class ReportRow:
 
 @dataclass
 class ConvergenceReport:
-    """Summary rows plus raw per-replication/per-path detail and run metadata
-    (seed, grid size, family description, variance-condition status)."""
+    """Summary rows plus raw per-replication/per-path detail and run metadata:
+    ``family`` and ``grid`` labels, then ``variance_condition`` and ``mode``
+    (weak law) or ``variance_checks`` and ``paths_passed`` (strong law)."""
 
     kind: str  # "wlln" or "slln"
     rows: tuple[ReportRow, ...]
     replications: int
     epsilon: float | None = None
-    threshold: float | None = None
     metadata: dict = field(default_factory=dict)
     detail: dict = field(default_factory=dict)
 
@@ -205,9 +205,7 @@ def run_wlln(config: WllnConfig, threads: int = 1,
         detail[n] = gaps
     metadata = {
         "family": family.describe(n_max),
-        "master_seed": str(master),
         "grid": family.grid.label,
-        "grid_size": str(len(family.grid)),
         "variance_condition": f"{'satisfied' if condition.satisfied else 'VIOLATED'}"
                               f" ({condition.note})",
         "mode": "standard" if condition.satisfied else "descriptive(negative control)",
@@ -216,7 +214,7 @@ def run_wlln(config: WllnConfig, threads: int = 1,
                              metadata=metadata, detail=detail)
 
 
-def compare_bound(report: ConvergenceReport, replications: int | None = None) -> list[dict]:
+def compare_bound(report: ConvergenceReport) -> list[dict]:
     """Per-n comparison of the exceedance frequency with its analytic bound.
 
     ``ok`` means empirical <= min(1, bound) + 3 binomial standard errors;
@@ -224,14 +222,13 @@ def compare_bound(report: ConvergenceReport, replications: int | None = None) ->
     """
     if report.kind != "wlln":
         raise HarnessError("bound comparison applies to weak-law reports")
-    reps = replications if replications is not None else report.replications
     out = []
     for row in report.rows:
         if row.bound is None:
             raise HarnessError(
                 f"row n={row.n} carries no analytic bound (missing variance metadata)")
         out.append({"n": row.n, "empirical": row.exceed_freq, "bound": row.bound,
-                    "ok": _bound_ok(row.exceed_freq, row.bound, reps)})
+                    "ok": _bound_ok(row.exceed_freq, row.bound, report.replications)})
     return out
 
 
@@ -328,9 +325,7 @@ def run_slln(config: SllnConfig, threads: int = 1) -> ConvergenceReport:
                                     / config.paths)))
     metadata = {
         "family": family.describe(config.max_n),
-        "master_seed": str(master),
         "grid": family.grid.label,
-        "grid_size": str(len(family.grid)),
         "variance_checks": "; ".join(f"{c.kind}: "
                                      f"{'ok' if c.satisfied else 'fail'} ({c.note})"
                                      for c in checks),
@@ -346,8 +341,7 @@ def run_slln(config: SllnConfig, threads: int = 1) -> ConvergenceReport:
         "interblock_max": interblock,
         "path_pass": path_pass,
     }
-    return ConvergenceReport("slln", tuple(rows), config.paths,
-                             threshold=config.threshold, metadata=metadata,
+    return ConvergenceReport("slln", tuple(rows), config.paths, metadata=metadata,
                              detail=detail)
 
 

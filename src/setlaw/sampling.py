@@ -65,10 +65,6 @@ class SeedSpec:
         key = (self.master_seed << 64) | self.stream_index
         return np.random.Generator(np.random.Philox(key=key))
 
-    def stream(self, index: int) -> "SeedSpec":
-        """Sibling stream under the same master seed."""
-        return SeedSpec(self.master_seed, index)
-
 
 class StreamCursor:
     """One Philox generator that can be put at the start of any stream of a
@@ -150,7 +146,6 @@ class SetSample:
     bodies: tuple[ConvexBody, ...]
     seed: SeedSpec | None = None
     family_tag: str = "adhoc"
-    expectations: tuple[ConvexBody, ...] | None = None
 
     def __post_init__(self):
         bodies = tuple(self.bodies)
@@ -160,11 +155,6 @@ class SetSample:
         d = bodies[0].dim
         if any(b.dim != d for b in bodies):
             raise FamilyError("all bodies in a sample must share one dimension")
-        if self.expectations is not None:
-            exp = tuple(self.expectations)
-            object.__setattr__(self, "expectations", exp)
-            if len(exp) != len(bodies) or any(b.dim != d for b in exp):
-                raise FamilyError("expectations must match the sample in length and dimension")
 
     @property
     def dim(self) -> int:
@@ -241,17 +231,15 @@ def make_interval_family(spec: EllipsoidFamilySpec, count: int,
                          seed: SeedSpec) -> SetSample:
     """Coupled random intervals [0, Y_i] with Y_i = X_i + a_i >= 0.
 
-    The exact expected bodies [0, a_i] ride along as metadata.  Lengths beyond
-    ``dim`` concatenate independent blocks, preserving pairwise uncorrelation.
+    E[X_i] = 0, so E[Y_i] = a_i and the expected body is [0, a_i].  Lengths
+    beyond ``dim`` concatenate independent blocks, preserving pairwise
+    uncorrelation.
     """
     if count < 1:
         raise FamilyError("count must be >= 1")
     y = _shifted_block(spec, count, lambda _row: seed.generator(), 1)[0]
-    axes = np.resize(spec.axes, count)
-    bodies = tuple(Interval(0.0, float(v)) for v in y)
-    expectations = tuple(Interval(0.0, float(a)) for a in axes)
-    return SetSample(bodies, seed=seed, family_tag=f"ellipsoid_interval dim={spec.dim}",
-                     expectations=expectations)
+    return SetSample(tuple(Interval(0.0, float(v)) for v in y), seed=seed,
+                     family_tag=f"ellipsoid_interval dim={spec.dim}")
 
 
 def interval_family_variances(spec: EllipsoidFamilySpec) -> np.ndarray:
@@ -273,7 +261,7 @@ def sample_ellipse_pair(a: float, b: float, center: tuple[float, float],
     return pts + np.asarray(center, dtype=float)
 
 
-_PROCESSES = ("iid_uniform", "uncorrelated_ellipsoid", "ar1")
+_PROCESSES = ("iid_uniform", "ar1")
 
 
 def _ar1(u: np.ndarray, rho: float) -> np.ndarray:
@@ -318,14 +306,14 @@ def _growth_factors(growth: float, n: int) -> np.ndarray:
 
 def make_generic_family(body_template: ConvexBody, scalar_process: str, count: int,
                         seed: SeedSpec, *, rho: float | None = None,
-                        ellipsoid: EllipsoidFamilySpec | None = None,
                         growth: float = 0.0) -> SetSample:
     """Bodies c_k * template with c_k >= 0 from the chosen scalar process.
 
+    The process is ``iid_uniform`` or ``ar1`` (which needs |rho| < 1).
     ``growth`` multiplies c_k by k**growth, giving controls whose
     per-index variance grows with k.  A process realization that would
-    scale by a negative value is an error, not a silent clamp.  The process,
-    ``rho`` and ``ellipsoid`` are checked here, as ``_scalar_block`` checks nothing.
+    scale by a negative value is an error, not a silent clamp.  The process
+    and ``rho`` are checked here, as ``_scalar_block`` checks nothing.
     """
     if count < 1:
         raise FamilyError("count must be >= 1")
@@ -333,12 +321,7 @@ def make_generic_family(body_template: ConvexBody, scalar_process: str, count: i
         raise FamilyError(f"unknown scalar process {scalar_process!r}; choose one of {_PROCESSES}")
     if scalar_process == "ar1" and (rho is None or not abs(rho) < 1.0):
         raise FamilyError("process 'ar1' needs |rho| < 1")
-    if scalar_process == "uncorrelated_ellipsoid":
-        if ellipsoid is None:
-            raise FamilyError("process 'uncorrelated_ellipsoid' needs an ellipsoid spec")
-        c = _shifted_block(ellipsoid, count, lambda _row: seed.generator(), 1)[0]
-    else:
-        c = _scalar_block(scalar_process, count, lambda _row: seed.generator(), 1, rho)[0]
+    c = _scalar_block(scalar_process, count, lambda _row: seed.generator(), 1, rho)[0]
     c = c * _growth_factors(growth, count)
     if np.any(c < 0.0):
         k = int(np.argmax(c < 0.0))
@@ -525,8 +508,7 @@ class DeterministicFamily(_OnGrid):
         return 0.0
 
     def sample(self, count: int, seed: SeedSpec) -> SetSample:
-        bodies = (self.body,) * count
-        return SetSample(bodies, seed=seed, family_tag=self.tag, expectations=bodies)
+        return SetSample((self.body,) * count, seed=seed, family_tag=self.tag)
 
 
 @dataclass(frozen=True)
@@ -548,7 +530,7 @@ class ScaledTemplateFamily(_OnGrid):
     _template = property(lambda self: self.template)
 
     def __post_init__(self):
-        if self.process not in ("iid_uniform", "ar1"):
+        if self.process not in _PROCESSES:
             raise FamilyError("scaled families support processes 'iid_uniform' and 'ar1'")
         if self.process == "ar1" and not 0.0 <= self.rho < 1.0:
             raise FamilyError("ar1 scaled families need 0 <= rho < 1")

@@ -69,7 +69,6 @@ class VarianceSchedule:
 
     grid: DirectionGrid
     per_index: np.ndarray
-    source: str = "analytic"
 
     def __post_init__(self):
         vals = np.asarray(self.per_index, dtype=float)
@@ -84,20 +83,18 @@ class VarianceSchedule:
             raise StatsError("variance entries must be finite")
         if np.any(vals < 0.0):
             raise StatsError("variance entries must be nonnegative")
-        if self.source not in ("analytic", "empirical"):
-            raise StatsError(f"unknown schedule source {self.source!r}")
 
     @classmethod
     def from_family(cls, family, n: int) -> "VarianceSchedule":
         """Analytic schedule of a sampling family at sequence length n."""
-        return cls(family.grid, family.variances(n), source="analytic")
+        return cls(family.grid, family.variances(n))
 
     @classmethod
     def empirical(cls, replications: Sequence[SetSample],
                   grid: DirectionGrid | None = None) -> "VarianceSchedule":
         tensor, grid = _support_tensor(replications, grid)
         centered = tensor - tensor.mean(axis=0)
-        return cls(grid, _covariance(centered, centered), source="empirical")
+        return cls(grid, _covariance(centered, centered))
 
     def __len__(self) -> int:
         return self.per_index.shape[0]

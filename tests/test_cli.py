@@ -129,6 +129,20 @@ def test_hausdorff_prints_gap(capsys, tmp_path):
         assert (tmp_path / "manifest.txt").exists()
 
 
+def test_console_script_entry_point_runs(capsys, tmp_path):
+    # the `setlaw` command that an install makes calls this target
+    import importlib
+    tomllib = pytest.importorskip("tomllib")  # Python >= 3.11
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    target = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]["setlaw"]
+    module, name = target.split(":")
+    entry = getattr(importlib.import_module(module), name)
+    cfg = tmp_path / "gap.cfg"
+    cfg.write_text("command = hausdorff\nbody_a = interval 0 1\nbody_b = interval 0 3\n")
+    assert entry(["--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_OK
+    assert capsys.readouterr().out == "2.0\n"
+
+
 def test_wlln_writes_expected_files(tmp_path):
     config = parse_config(WLLN_TEXT)
     assert dispatch(config, out_dir=str(tmp_path)) == EXIT_OK
@@ -526,7 +540,7 @@ def test_slln_summary_csv_is_what_csv_writer_writes(tmp_path):
     from setlaw.cli import write_slln_summary_csv
     from setlaw.harness import ConvergenceReport
     rows = (_row(1, _ODD[:3]), _row(4, _ODD[3:]))
-    write_slln_summary_csv(ConvergenceReport("slln", rows, 2, threshold=0.1),
+    write_slln_summary_csv(ConvergenceReport("slln", rows, 2),
                            tmp_path / "got.csv")
     _assert_csv_writer_bytes(
         tmp_path / "got.csv",

@@ -148,6 +148,37 @@ def _seam_rows() -> np.ndarray:
     return rows
 
 
+def _rotated(row, angle):
+    """row turned by ``angle`` radians toward a unit vector orthogonal to it:
+    a chordal distance of 2 sin(angle / 2), within 1e-28 of ``angle``."""
+    other = np.zeros_like(row)
+    other[np.argmin(np.abs(row))] = 1.0
+    other -= (other @ row) * row
+    other /= np.linalg.norm(other)
+    return np.cos(angle) * row + np.sin(angle) * other
+
+
+@pytest.mark.parametrize("dim, count, scheme", [(2, 256, "uniform_angles_2d"),
+                                                (3, 64, "fibonacci_3d")])
+def test_index_of_hits_within_duplicate_tol_only(dim, count, scheme):
+    # the 2-D grid takes the angular search and the 3-D grid the full scan;
+    # row 128 of the 2-D grid points along -x, so its rotations cross the seam
+    grid = make_direction_grid(dim, count, scheme)
+    rows = [0, 37, count // 2, count - 1]
+    near = np.array([_rotated(grid.matrix[i], 0.9e-9) for i in rows]
+                    + [_rotated(grid.matrix[i], -0.9e-9) for i in rows])
+    far = np.array([_rotated(grid.matrix[i], 1.1e-9) for i in rows]
+                   + [_rotated(grid.matrix[i], -1.1e-9) for i in rows])
+    idx, hit = grid._nearest(near)
+    assert hit.all() and idx.tolist() == rows * 2
+    idx, hit = grid._nearest(far)
+    assert not hit.any() and idx.tolist() == rows * 2
+    assert [grid.index_of(Direction(tuple(u))) for u in near] == rows * 2
+    assert [grid.index_of(Direction(tuple(u))) for u in far] == [None] * len(far)
+    # a direction of the other dimension (3-D against the 2-D grid) is no match
+    assert grid.index_of(Direction.unit(np.ones(5 - dim))) is None
+
+
 @pytest.mark.parametrize("rows", [
     make_direction_grid(2, 512, "uniform_angles_2d").matrix[::-1],
     np.random.default_rng(3).permutation(make_direction_grid(2, 512, "uniform_angles_2d").matrix),

@@ -243,6 +243,18 @@ def test_scalar_mul_box_keeps_numpy_min_max_bits(lam):
     assert np.array(scaled.hi).tobytes() == np.maximum(x, y).tobytes()
 
 
+@pytest.mark.parametrize("lam", [3.0, -2.0])
+@pytest.mark.parametrize("lo, hi", [(-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0), (-1.0, 0.0),
+                                    (0.0, 1.0)], ids=["-0,+0", "+0,-0", "-0,-0", "-1,0", "0,1"])
+def test_scalar_mul_interval_keeps_the_signs_of_a_1d_box(lam, lo, hi):
+    interval = scalar_mul(lam, Interval(lo, hi))
+    box = scalar_mul(lam, Box((lo,), (hi,)))
+    assert format_body(interval).split()[1:] == format_body(box).split()[2:]
+    x, y = lam * np.array(lo), lam * np.array(hi)
+    assert np.array([interval.lo, interval.hi]).tobytes() == \
+        np.array([np.minimum(x, y), np.maximum(x, y)]).tobytes()
+
+
 def test_scalar_mul_ellipsoid():
     body = scalar_mul(-2.0, Ellipsoid((1.0, 0.0), (1.0, 2.0)))
     assert body == Ellipsoid((-2.0, 0.0), (2.0, 4.0))

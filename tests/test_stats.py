@@ -349,7 +349,6 @@ def test_empirical_schedule_approximates_analytic_variances():
     fam = EllipsoidIntervalFamily((1.0,), block_dim=4)
     reps = [fam.sample(4, SeedSpec(40, r)) for r in range(5000)]
     schedule = VarianceSchedule.empirical(reps)
-    assert schedule.source == "empirical"
     analytic = fam.variances(4)
     # SE of a sample variance is roughly Var * sqrt(2/R); allow 6 of those
     slack = 6.0 * analytic[:, 0].max() * math.sqrt(2.0 / 5000.0)
