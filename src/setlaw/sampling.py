@@ -13,6 +13,8 @@ counter-based Philox generator, so any replication can be regenerated in
 isolation and results cannot depend on worker count.  Families draw
 blocks of replications: each row takes its raw numbers from its own
 stream, and the transform to supports runs once for the whole block.
+A family's ``sample`` is one such draw: it carries its support table and
+builds body objects only when they are read.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import ast
 import math
 import re
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from typing import Callable
 
 import numpy as np
@@ -33,6 +35,7 @@ from .geometry import (
     format_body,
     parse_body,
     scalar_mul,
+    support_values,
     DirectionGrid,
     _default_grid,
 )
@@ -139,29 +142,61 @@ class EllipsoidFamilySpec:
         return axes
 
 
-@dataclass(frozen=True)
 class SetSample:
-    """Ordered sequence of body draws plus the seed that produced them."""
+    """Ordered sequence of body draws plus the seed that produced them.
 
-    bodies: tuple[ConvexBody, ...]
-    seed: SeedSpec | None = None
-    family_tag: str = "adhoc"
+    ``SetSample(bodies, seed, family_tag)`` holds the bodies it is given.  A
+    family's ``sample`` gives one that carries the support table of its
+    draws on the family grid instead, and builds ``bodies`` from the same
+    draws when they are first read.  ``supports(grid)`` serves both kinds.
+    """
 
-    def __post_init__(self):
-        bodies = tuple(self.bodies)
-        object.__setattr__(self, "bodies", bodies)
+    def __init__(self, bodies, seed: SeedSpec | None = None, family_tag: str = "adhoc"):
+        bodies = tuple(bodies)
         if not bodies:
             raise FamilyError("a set sample must contain at least one body")
         d = bodies[0].dim
         if any(b.dim != d for b in bodies):
             raise FamilyError("all bodies in a sample must share one dimension")
+        self._bodies, self._grid = bodies, None
+        self.seed, self.family_tag = seed, family_tag
+
+    @classmethod
+    def _drawn(cls, grid: DirectionGrid, scales: np.ndarray, row: np.ndarray,
+               make_bodies: Callable[[], tuple[ConvexBody, ...]], seed: SeedSpec,
+               family_tag: str) -> "SetSample":
+        """A family draw of L bodies whose support table on ``grid`` is
+        ``scales[k] * row[j]``, kept as its two factors: one scale per draw and
+        one support row per family.  ``make_bodies()`` gives the bodies of the
+        same draws (a ``partial`` of a module function, so the sample pickles)."""
+        sample = cls.__new__(cls)
+        sample._bodies, sample._make_bodies = None, make_bodies
+        sample._grid, sample._scales, sample._row = grid, scales, row
+        sample.seed, sample.family_tag = seed, family_tag
+        return sample
+
+    @property
+    def bodies(self) -> tuple[ConvexBody, ...]:
+        if self._bodies is None:
+            self._bodies = self._make_bodies()
+        return self._bodies
 
     @property
     def dim(self) -> int:
-        return self.bodies[0].dim
+        return self._grid.dim if self._grid is not None else self._bodies[0].dim
 
     def __len__(self) -> int:
-        return len(self.bodies)
+        return len(self._scales) if self._grid is not None else len(self._bodies)
+
+    def supports(self, grid: DirectionGrid) -> np.ndarray:
+        """(L, m) support values of the L draws on the rows of ``grid``.
+
+        The carried table when ``grid`` equals the sample's own grid;
+        otherwise one ``support_values`` call per body.
+        """
+        if self._grid is not None and grid == self._grid:
+            return np.multiply.outer(self._scales, self._row)
+        return np.stack([support_values(b, grid.matrix) for b in self.bodies])
 
 
 def uniform_density_constant(spec: EllipsoidFamilySpec) -> float:
@@ -233,13 +268,24 @@ def make_interval_family(spec: EllipsoidFamilySpec, count: int,
 
     E[X_i] = 0, so E[Y_i] = a_i and the expected body is [0, a_i].  Lengths
     beyond ``dim`` concatenate independent blocks, preserving pairwise
-    uncorrelation.
+    uncorrelation.  The sample carries its supports on {+1, -1}: Y_i, and
+    0 at -1; the intervals are built when ``bodies`` is first read.
     """
     if count < 1:
         raise FamilyError("count must be >= 1")
     y = _shifted_block(spec, count, lambda _row: seed.generator(), 1)[0]
-    return SetSample(tuple(Interval(0.0, float(v)) for v in y), seed=seed,
-                     family_tag=f"ellipsoid_interval dim={spec.dim}")
+    return SetSample._drawn(_default_grid(1), y, _UPPER_ENDPOINT, partial(_intervals, y),
+                            seed, f"ellipsoid_interval dim={spec.dim}")
+
+
+# supports of [0, 1] on {+1, -1}, with +0.0 at -1 as ``support_block`` writes it
+_UPPER_ENDPOINT = np.array([1.0, 0.0])
+_UPPER_ENDPOINT.flags.writeable = False
+
+
+def _intervals(y: np.ndarray) -> tuple[Interval, ...]:
+    """The intervals [0, y_i]."""
+    return tuple(Interval(0.0, float(v)) for v in y)
 
 
 def interval_family_variances(spec: EllipsoidFamilySpec) -> np.ndarray:
@@ -326,9 +372,13 @@ def make_generic_family(body_template: ConvexBody, scalar_process: str, count: i
     if np.any(c < 0.0):
         k = int(np.argmax(c < 0.0))
         raise FamilyError(f"scalar process produced negative scale c_{k} = {c[k]!r}")
-    bodies = tuple(scalar_mul(float(v), body_template) for v in c)
-    return SetSample(bodies, seed=seed,
+    return SetSample(_multiples(body_template, c), seed=seed,
                      family_tag=f"{scalar_process} x {type(body_template).__name__}")
+
+
+def _multiples(template: ConvexBody, c: np.ndarray) -> tuple[ConvexBody, ...]:
+    """The bodies c_k * template."""
+    return tuple(scalar_mul(float(v), template) for v in c)
 
 
 # ---------------------------------------------------------------------------
@@ -443,6 +493,8 @@ class EllipsoidIntervalFamily:
         return 2.0 * total / (epsilon * n) ** 2
 
     def sample(self, count: int, seed: SeedSpec) -> SetSample:
+        """``count`` intervals from stream ``seed``, carrying their supports on
+        {+1, -1}, the draw ``support_block`` makes; see ``make_interval_family``."""
         return make_interval_family(self._spec_for(count), count, seed)
 
 
@@ -508,7 +560,11 @@ class DeterministicFamily(_OnGrid):
         return 0.0
 
     def sample(self, count: int, seed: SeedSpec) -> SetSample:
-        return SetSample((self.body,) * count, seed=seed, family_tag=self.tag)
+        """``count`` copies of the body, carrying their supports on the family grid."""
+        if count < 1:
+            raise FamilyError("count must be >= 1")
+        return SetSample._drawn(self.grid, np.ones(count), self._template_supports,
+                                partial(tuple, (self.body,) * count), seed, self.tag)
 
 
 @dataclass(frozen=True)
@@ -557,10 +613,14 @@ class ScaledTemplateFamily(_OnGrid):
             base = np.array(base)
         return base * self._growth_factors(n) ** 2
 
+    def _scales(self, n: int, streams: Streams, size: int) -> np.ndarray:
+        """(size, n) scales g_k c_k of ``size`` draws; draw i comes from ``streams(i)``."""
+        return _scalar_block(self.process, n, streams, size, self.rho) * self._growth_factors(n)
+
     def support_block(self, n: int, streams: Streams, size: int) -> np.ndarray:
         """(n, size, m) support values of ``size`` draws of n bodies,
         length-major; draw i comes from ``streams(i)``."""
-        c = _scalar_block(self.process, n, streams, size, self.rho) * self._growth_factors(n)
+        c = self._scales(n, streams, size)
         t = self._template_supports
         return np.multiply(c.T[:, :, None], t, out=np.empty((n, size, len(t))))
 
@@ -584,8 +644,15 @@ class ScaledTemplateFamily(_OnGrid):
         return total / (epsilon * n) ** 2
 
     def sample(self, count: int, seed: SeedSpec) -> SetSample:
-        return make_generic_family(self.template, self.process, count, seed,
-                                   rho=self.rho, growth=self.growth)
+        """``count`` bodies drawn from stream ``seed``.  The sample carries their
+        supports c_k h_T(u) on the family grid, the draw ``support_block`` makes;
+        the bodies c_k * T of ``make_generic_family`` are built when first read."""
+        if count < 1:
+            raise FamilyError("count must be >= 1")
+        c = self._scales(count, _restartable(seed.generator()), 1)[0]
+        return SetSample._drawn(self.grid, c, self._template_supports,
+                                partial(_multiples, self.template, c), seed,
+                                f"{self.process} x {type(self.template).__name__}")
 
 
 # ---------------------------------------------------------------------------

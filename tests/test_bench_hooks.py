@@ -57,5 +57,16 @@ def test_traced_uncorr_run_records_a_span_at_every_stage(tmp_path):
     data = json.loads(report.read_text())
     assert data["missing_hooks"] == []
     assert data["t_setup"] is not None and data["t_ops_end"] is not None
-    recorded = {span[0] for span in data["spans"]}
+    spans = data["spans"]  # [name, start, end, parent index, attrs]
+    recorded = {span[0] for span in spans}
     assert {"sampling.sample", "stats.tensor", "stats.uncorr", "cli.write"} <= recorded
+    # the timed window opens at the first draw and closes when the test returns:
+    # one draw per replication, and the tensor inside the test
+    assert sum(span[0] == "sampling.sample" for span in spans) == 30
+
+    def ancestors(span):
+        while span[3] >= 0:
+            span = spans[span[3]]
+            yield span[0]
+    assert any("stats.uncorr" in ancestors(span) for span in spans
+               if span[0] == "stats.tensor")

@@ -567,3 +567,24 @@ def test_condition_csv_is_what_csv_writer_writes(tmp_path, monkeypatch, capsys):
     assert dispatch(config, out_dir=str(tmp_path)) == EXIT_OK
     _assert_csv_writer_bytes(tmp_path / "condition.csv", ["n", "value"],
                              [[n, repr(v)] for n, v in enumerate(_ODD, start=1)])
+
+
+@pytest.mark.parametrize("family", [
+    "family = scaled_iid\nbody = box 2 -1 -0.5 1 2\ngrid_scheme = uniform_angles_2d\n"
+    "grid_count = 16\n",
+    "family = ellipsoid_interval\na = 1,2\nblock_dim = 3\n",
+], ids=["scaled-box2d", "ellipsoid-interval"])
+def test_uncorr_run_reads_support_tables_and_builds_no_body(family, tmp_path, monkeypatch):
+    """test-uncorr takes each draw's support table: no per-body support values, no c * T."""
+    from setlaw import sampling, stats
+    calls = []
+    for module, attr in ((sampling, "support_values"), (stats, "support_values"),
+                         (sampling, "scalar_mul")):
+        original = getattr(module, attr, None)
+        monkeypatch.setattr(module, attr,
+                            lambda *a, _f=original, _n=attr: calls.append(_n) or _f(*a),
+                            raising=False)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"command = test-uncorr\nseed = 3\n{family}length = 4\nreplications = 40\n")
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_OK
+    assert calls == []

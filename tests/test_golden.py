@@ -120,6 +120,26 @@ block_dim = 5
 max_n = 300
 paths = 20
 """,
+    # 1-D uncorrelation tests: the support table of a family draw gives the
+    # same bytes as the per-body support values
+    "test-uncorr-interval-block4": """\
+command = test-uncorr
+seed = 21
+family = ellipsoid_interval
+a = 1,2,0.5
+block_dim = 4
+length = 6
+replications = 500
+""",
+    "test-uncorr-ar1-interval": """\
+command = test-uncorr
+seed = 22
+family = scaled_ar1
+rho = 0.5
+body = interval -1 2
+length = 5
+replications = 200
+""",
 }
 
 # (config, --threads): wlln and slln run at 1 and 2 workers, which must agree
@@ -127,7 +147,8 @@ CASES = [("wlln", 1), ("wlln", 2), ("slln", 1), ("slln", 2), ("sample-box2d", 1)
          ("test-uncorr-box2d", 1), ("hausdorff-1d", 1), ("hausdorff-2d", 1),
          ("check-cond", 1), ("wlln-600-regen", 1), ("wlln-600-regen", 2),
          ("wlln-600-block7", 1), ("wlln-600-block7", 2), ("wlln-ar1-box2d", 1),
-         ("wlln-ar1-box2d", 2), ("slln-20", 1), ("slln-20", 2)]
+         ("wlln-ar1-box2d", 2), ("slln-20", 1), ("slln-20", 2),
+         ("test-uncorr-interval-block4", 1), ("test-uncorr-ar1-interval", 1)]
 
 GOLDEN = {
     'wlln': {
@@ -174,7 +195,7 @@ GOLDEN = {
         'manifest.txt':
             '73c51fb012df93fcaa4ad79ce92bc5e7f982bcc4cf20659de68f8018cf23ac9c',
         'uncorrelation.csv':
-            'a8aec77c7438848512650a59945883eb5588ad67d5773116fe031499af69e8f4',
+            '19802aca9e2fbd70e98d6582e611e66abaaa80ae93dab44eb4c8d925492a871a',
         '<stdout>':
             'd78ac286f98915ffe44ddf4b4281143fa2f757007f1eedf4bfa05d853fea8b18',
     },
@@ -259,6 +280,22 @@ GOLDEN = {
             '554cc5efa4f7f4a8e6ec4c9471a91123ae21dd145ab507b379d73711d585132c',
         '<stdout>':
             'a97a3948f065cb244538d10b3c56a202f4d802eb807c3909084031368f89c491',
+    },
+    'test-uncorr-interval-block4': {
+        'manifest.txt':
+            'dfafe0b78c5c23b4631a2d17d9c0a3195d6264aea2f01f3cc4124cf795cd0303',
+        'uncorrelation.csv':
+            '085b6072ef927d0a027194c6a2b2f04f0f22f278644c1dc642c9bfd4ef8278e1',
+        '<stdout>':
+            '750fcb1cb020aebb88a936c1ce03c51283a757c1aea295ceb597983912cfa95e',
+    },
+    'test-uncorr-ar1-interval': {
+        'manifest.txt':
+            '215392d3c3935a550ea4237b9e7115e3645af8d7f0fd8007c5cf940811dad62f',
+        'uncorrelation.csv':
+            '63c2c406576c2432a79ef6de3838437af47ab60f67247a829ce63e6eedcfdd9c',
+        '<stdout>':
+            'f40ec05af62602fd4135a05d4a3a1885d50fa3246471fa100667aa7258b46379',
     },
 }
 

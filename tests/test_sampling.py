@@ -10,13 +10,16 @@ import pytest
 
 from setlaw import (
     Box,
+    Ellipsoid,
     EllipsoidFamilySpec,
     EllipsoidIntervalFamily,
     FamilyError,
     Interval,
+    Polytope,
     ScaledTemplateFamily,
     SeedSpec,
     SetSample,
+    format_body,
     interval_family_variances,
     make_direction_grid,
     make_generic_family,
@@ -566,6 +569,77 @@ def test_zero_norm_rows_are_redrawn_as_before(zero_calls, axes):
         want = _reference_draw_ellipsoid(spec, 4, _ZeroRowStream(i, zero_calls if i == 1 else 0))
         assert got[i].tobytes() == want.tobytes()
     assert np.all(np.isfinite(got))
+
+
+# -- family samples carry their support table -----------------------------------------
+
+_GRID16 = make_direction_grid(2, 16, "uniform_angles_2d")
+_TEMPLATES = {
+    "interval": Interval(-1.0, 2.0),
+    "box2d": Box((-1.5, -0.25), (0.75, 2.0)),
+    "polytope2d": Polytope(np.array([[0.0, 0.0], [1.5, 0.25], [0.3, 1.1]])),
+    "ellipsoid2d": Ellipsoid((0.2, -0.1), (0.7, 1.3)),
+}
+_SAMPLE_FAMILIES = {
+    "ellipsoid-regen": EllipsoidIntervalFamily((1.0, 2.0, 0.5)),
+    "ellipsoid-block4": EllipsoidIntervalFamily((1.0, 2.0, 0.5), block_dim=4),
+    **{f"{process}-growth-{name}": ScaledTemplateFamily(
+        body, process, rho=0.6 if process == "ar1" else 0.0, growth=0.25,
+        direction_grid=_GRID16 if body.dim == 2 else None)
+       for name, body in _TEMPLATES.items() for process in ("iid_uniform", "ar1")},
+    "deterministic-interval": DeterministicFamily(Interval(-1.0, 3.0)),
+    "deterministic-box2d": DeterministicFamily(_TEMPLATES["box2d"], _GRID16),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SAMPLE_FAMILIES))
+def test_family_sample_carries_its_support_block_draw(name):
+    fam = _SAMPLE_FAMILIES[name]
+    seed = SeedSpec(23, 4)
+    sample = fam.sample(9, seed)
+    want = fam.support_block(9, _restartable(seed.generator()), 1)[:, 0]
+    got = sample.supports(fam.grid)
+    assert (len(sample), sample.dim) == (9, fam.dim)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def _body_makers_today(fam, count, seed):
+    """The bodies ``make_interval_family`` and ``make_generic_family`` build for a family."""
+    if isinstance(fam, EllipsoidIntervalFamily):
+        spec = fam._spec_for(count)
+        # Y = X + a over independent blocks, from the public ellipsoid draw
+        x = sample_ellipsoid_uniform(spec, -(-count // spec.dim), seed)
+        by_points = [Interval(0.0, float(y)) for y in (x + spec.axes).ravel()[:count]]
+        assert make_interval_family(spec, count, seed).bodies == tuple(by_points)
+        return by_points
+    if isinstance(fam, DeterministicFamily):
+        return [fam.body] * count
+    return make_generic_family(fam.template, fam.process, count, seed, rho=fam.rho,
+                               growth=fam.growth).bodies
+
+
+@pytest.mark.parametrize("name", sorted(_SAMPLE_FAMILIES))
+def test_family_bodies_are_built_when_read_as_the_body_makers_build_them(name, monkeypatch):
+    from setlaw import sampling
+    fam = _SAMPLE_FAMILIES[name]
+    seed = SeedSpec(23, 5)
+    built = []
+    for attr in ("Interval", "scalar_mul"):
+        original = getattr(sampling, attr)
+        monkeypatch.setattr(sampling, attr, lambda *a, _f=original: built.append(a) or _f(*a))
+    sample = fam.sample(9, seed)
+    table = sample.supports(fam.grid)
+    assert built == []  # drawing and reading the table build no body
+    got = [format_body(b) for b in sample.bodies]
+    assert len(built) == (0 if isinstance(fam, DeterministicFamily) else 9)
+    monkeypatch.undo()
+    # the bodies' own supports round on their own: within 4 ulps of each row's max |h|
+    by_body = SetSample(sample.bodies).supports(fam.grid)
+    ulp = np.spacing(np.abs(by_body).max(axis=1, keepdims=True))
+    assert np.all(np.abs(by_body - table) <= 4 * ulp)
+    assert got == [format_body(b) for b in _body_makers_today(fam, 9, seed)]
+    again = pickle.loads(pickle.dumps(fam.sample(9, seed)))
+    assert [format_body(b) for b in again.bodies] == got
 
 
 # -- growth factors -----------------------------------------------------------------

@@ -373,6 +373,13 @@ def _reference_tensor(reps, grid, support):
                      for rep in reps])
 
 
+def _drawn_tensor(family, length, reps, master):
+    """(R, L, m) rows of ``support_block`` on the streams ``_replications`` uses."""
+    from setlaw.sampling import _restartable
+    return np.stack([family.support_block(length, _restartable(SeedSpec(master, r).generator()),
+                                          1)[:, 0] for r in range(reps)])
+
+
 def test_support_tensor_matches_scalar_triple_loop():
     from setlaw.stats import _support_tensor
     grid = make_direction_grid(2, 24, "uniform_angles_2d")
@@ -380,17 +387,32 @@ def test_support_tensor_matches_scalar_triple_loop():
     reps = _replications(box, 6, 9, 60)
     tensor, used = _support_tensor(reps, grid)
     assert used is grid
-    assert tensor.tobytes() == _reference_tensor(reps, grid, _scalar_support).tobytes()
+    # a family sample gives its support_block draw, c_k h_T(u), bit for bit
+    assert tensor.tobytes() == _drawn_tensor(box, 6, 9, 60).tobytes()
+    # samples built by hand from the same bodies c_k T give the scalar loop's bytes
+    by_hand = [SetSample(rep.bodies) for rep in reps]
+    bodies, _ = _support_tensor(by_hand, grid)
+    assert bodies.tobytes() == _reference_tensor(by_hand, grid, _scalar_support).tobytes()
+    # h_{cT}(u) rounds on its own: within 4 ulps of the largest |h| of each body
+    ulp = np.spacing(np.abs(bodies).max(axis=2, keepdims=True))
+    assert np.all(np.abs(tensor - bodies) <= 4 * ulp)
 
     # zero bounds give -0.0 terms; the scalar sum starting at 0.0 makes them +0.0
     zeros = [SetSample((Box((0.0, 0.0), (1.0, 2.0)), Box((0.0, -1.0), (0.0, 0.0))))] * 3
     tensor, _ = _support_tensor(zeros, grid)
     assert tensor.tobytes() == _reference_tensor(zeros, grid, _scalar_support).tobytes()
 
-    intervals = _replications(EllipsoidIntervalFamily((1.0, 2.0), block_dim=3), 3, 8, 61)
-    tensor, _ = _support_tensor(intervals, None)
-    assert tensor.tobytes() == _reference_tensor(intervals, EXACT_1D,
-                                                 _scalar_support).tobytes()
+    # in 1-D the family draw and the body loop agree (up to the sign of a zero)
+    for family in (EllipsoidIntervalFamily((1.0, 2.0), block_dim=3),
+                   ScaledTemplateFamily(Interval(-1.0, 2.0), "ar1", rho=0.5, growth=0.25)):
+        intervals = _replications(family, 8, 3, 61)
+        tensor, _ = _support_tensor(intervals, None)
+        assert tensor.tobytes() == _drawn_tensor(family, 8, 3, 61).tobytes()
+        by_hand = [SetSample(rep.bodies) for rep in intervals]
+        bodies, _ = _support_tensor(by_hand, None)
+        assert bodies.tobytes() == _reference_tensor(by_hand, EXACT_1D,
+                                                     _scalar_support).tobytes()
+        assert np.array_equal(tensor, bodies)
 
     rng = np.random.default_rng(62)
     mixed = [SetSample((Polytope(rng.uniform(-1, 1, (4, 2))),
