@@ -36,8 +36,6 @@ from .sampling import (
     SeedSpec,
     SetSample,
     interval_family_variances,
-    make_generic_family,
-    make_interval_family,
     read_set_sample,
     sample_ellipse_pair,
     sample_ellipsoid_uniform,

@@ -6,7 +6,10 @@ random intervals [0, Y_i]: the coordinates are pairwise uncorrelated but
 neither independent nor identically distributed, which is exactly the
 regime the law-of-large-numbers harness exercises.  Scalar-process
 families (i.i.d. and AR(1) scalings of a template body) provide positive
-and negative controls.
+and negative controls.  Every family is a scalar sequence times one fixed
+body, V_k = s_k T (s_k = Y_k and T = [0, 1] for the intervals, s_k = 1
+for a deterministic family), so its support values are s_k h_T(u) and its
+draws, means and variances are written once for all families.
 
 Streams are addressed by (master_seed, stream_index) through a
 counter-based Philox generator, so any replication can be regenerated in
@@ -168,7 +171,7 @@ class SetSample:
         """A family draw of L bodies whose support table on ``grid`` is
         ``scales[k] * row[j]``, kept as its two factors: one scale per draw and
         one support row per family.  ``make_bodies()`` gives the bodies of the
-        same draws (a ``partial`` of a module function, so the sample pickles)."""
+        same draws (a ``partial``, so the sample pickles with its family)."""
         sample = cls.__new__(cls)
         sample._bodies, sample._make_bodies = None, make_bodies
         sample._grid, sample._scales, sample._row = grid, scales, row
@@ -262,32 +265,6 @@ def _shifted_block(spec: EllipsoidFamilySpec, count: int, streams: Streams,
     return (x + spec.axes).reshape(size, -1)[:, :count]
 
 
-def make_interval_family(spec: EllipsoidFamilySpec, count: int,
-                         seed: SeedSpec) -> SetSample:
-    """Coupled random intervals [0, Y_i] with Y_i = X_i + a_i >= 0.
-
-    E[X_i] = 0, so E[Y_i] = a_i and the expected body is [0, a_i].  Lengths
-    beyond ``dim`` concatenate independent blocks, preserving pairwise
-    uncorrelation.  The sample carries its supports on {+1, -1}: Y_i, and
-    0 at -1; the intervals are built when ``bodies`` is first read.
-    """
-    if count < 1:
-        raise FamilyError("count must be >= 1")
-    y = _shifted_block(spec, count, lambda _row: seed.generator(), 1)[0]
-    return SetSample._drawn(_default_grid(1), y, _UPPER_ENDPOINT, partial(_intervals, y),
-                            seed, f"ellipsoid_interval dim={spec.dim}")
-
-
-# supports of [0, 1] on {+1, -1}, with +0.0 at -1 as ``support_block`` writes it
-_UPPER_ENDPOINT = np.array([1.0, 0.0])
-_UPPER_ENDPOINT.flags.writeable = False
-
-
-def _intervals(y: np.ndarray) -> tuple[Interval, ...]:
-    """The intervals [0, y_i]."""
-    return tuple(Interval(0.0, float(v)) for v in y)
-
-
 def interval_family_variances(spec: EllipsoidFamilySpec) -> np.ndarray:
     """Exact per-index variance of the upper endpoint: a_i^2 / (dim + 2)."""
     return spec.axes ** 2 / (spec.dim + 2.0)
@@ -323,8 +300,8 @@ def _ar1(u: np.ndarray, rho: float) -> np.ndarray:
 
 
 def _scalar_block(process: str, count: int, streams: Streams, size: int, rho: float) -> np.ndarray:
-    """(size, count) scalar sequences; row i draws from ``streams(i)``.  It checks nothing:
-    ``ScaledTemplateFamily.__post_init__`` and ``make_generic_family`` check process and rho."""
+    """(size, count) scalar sequences; row i draws from ``streams(i)``.  It checks
+    nothing: ``ScaledTemplateFamily.__post_init__`` checks process and rho."""
     u = np.empty((size, count))
     for i in range(size):
         streams(i).random(out=u[i])
@@ -350,42 +327,61 @@ def _growth_factors(growth: float, n: int) -> np.ndarray:
     return g
 
 
-def make_generic_family(body_template: ConvexBody, scalar_process: str, count: int,
-                        seed: SeedSpec, *, rho: float | None = None,
-                        growth: float = 0.0) -> SetSample:
-    """Bodies c_k * template with c_k >= 0 from the chosen scalar process.
-
-    The process is ``iid_uniform`` or ``ar1`` (which needs |rho| < 1).
-    ``growth`` multiplies c_k by k**growth, giving controls whose
-    per-index variance grows with k.  A process realization that would
-    scale by a negative value is an error, not a silent clamp.  The process
-    and ``rho`` are checked here, as ``_scalar_block`` checks nothing.
-    """
-    if count < 1:
-        raise FamilyError("count must be >= 1")
-    if scalar_process not in _PROCESSES:
-        raise FamilyError(f"unknown scalar process {scalar_process!r}; choose one of {_PROCESSES}")
-    if scalar_process == "ar1" and (rho is None or not abs(rho) < 1.0):
-        raise FamilyError("process 'ar1' needs |rho| < 1")
-    c = _scalar_block(scalar_process, count, lambda _row: seed.generator(), 1, rho)[0]
-    c = c * _growth_factors(growth, count)
-    if np.any(c < 0.0):
-        k = int(np.argmax(c < 0.0))
-        raise FamilyError(f"scalar process produced negative scale c_{k} = {c[k]!r}")
-    return SetSample(_multiples(body_template, c), seed=seed,
-                     family_tag=f"{scalar_process} x {type(body_template).__name__}")
-
-
-def _multiples(template: ConvexBody, c: np.ndarray) -> tuple[ConvexBody, ...]:
-    """The bodies c_k * template."""
-    return tuple(scalar_mul(float(v), template) for v in c)
-
-
 # ---------------------------------------------------------------------------
-# Families as the harness sees them: vectorized support draws plus the
-# analytic moments needed for bounds and variance conditions.  Support
-# columns follow the family grid order (for dimension 1: +1 then -1).
+# Families as the harness sees them: V_k = s_k T, so h(V_k, u) = s_k h_T(u).
+# Support columns follow the family grid order (for dimension 1: +1 then -1).
 # ---------------------------------------------------------------------------
+
+
+class _ScaledBody:
+    """A family V_k = s_k T.  Each family gives its scale process (``_scales``,
+    ``_mean_scales``, ``_scale_variances``), its body ``_template`` with the
+    support row ``_row`` of that body on the family grid, its tags and its two
+    bounds; draws, samples, means and variances follow from those here."""
+
+    def support_block(self, n: int, streams: Streams, size: int) -> np.ndarray:
+        """(n, size, m) support values of ``size`` draws of n bodies,
+        length-major; draw i comes from ``streams(i)``."""
+        s = self._scales(n, streams, size)
+        row = self._row
+        return np.multiply(s.T[:, :, None], row, out=np.empty((n, size, len(row))))
+
+    def support_draws(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        """(n, m) support values of n bodies drawn from ``rng``."""
+        return self.support_block(n, _restartable(rng), 1)[:, 0]
+
+    def mean_supports(self, n: int) -> np.ndarray:
+        return np.outer(self._mean_scales(n), self._row)
+
+    def variances(self, n: int) -> np.ndarray:
+        """Exact Var of the support values, Var(s_k) h_T(u)^2, one row per index.
+
+        An h_T(u)^2 that overflows gives inf, which a variance schedule
+        refuses, except where Var(s_k) = 0: a constant scale gives constant
+        supports, however large the body.
+        """
+        v = self._scale_variances(n)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = np.outer(v, self._row ** 2)
+        out[v == 0.0] = 0.0
+        return out
+
+    def sample(self, count: int, seed: SeedSpec) -> SetSample:
+        """``count`` bodies drawn from stream ``seed``.  The sample carries their
+        supports s_k h_T(u) on the family grid, the draw ``support_block``
+        makes; the bodies are built when first read."""
+        if count < 1:
+            raise FamilyError(f"sequence length must be >= 1, got {count}")
+        s = self._scales(count, lambda _row: seed.generator(), 1)[0]
+        return SetSample._drawn(self.grid, s, self._row, partial(self._bodies, s), seed,
+                                self._sample_tag(count))
+
+    def _bodies(self, scales: np.ndarray) -> tuple[ConvexBody, ...]:
+        """The bodies s_k T of one draw."""
+        return tuple(scalar_mul(float(v), self._template) for v in scales)
+
+    def _sample_tag(self, count: int) -> str:
+        return self.tag
 
 
 @lru_cache(maxsize=64)
@@ -402,19 +398,29 @@ def _interval_spec(axes_pattern: tuple[float, ...], d: int,
     return EllipsoidFamilySpec(tuple(axes))
 
 
+# supports of [0, 1] on {+1, -1}, with +0.0 at -1 as ``support_block`` writes it
+_UPPER_ENDPOINT = np.array([1.0, 0.0])
+_UPPER_ENDPOINT.flags.writeable = False
+
+
 @dataclass(frozen=True)
-class EllipsoidIntervalFamily:
+class EllipsoidIntervalFamily(_ScaledBody):
     """Interval family [0, Y_i] driven by one uniform ellipsoid draw.
 
-    ``block_dim`` fixes the ellipsoid dimension, with longer sequences
-    built from independent blocks.  ``block_dim=None`` regenerates the
-    family at the requested length n (one coupled draw of dimension n),
-    clamping each semi-axis to sqrt(n); the clamp keeps the variance sum
-    (1/n^2) * sum a_i^2/(n+2) under 1/(n+2) at every n.
+    The scales are Y_i = X_i + a_i >= 0 and the body is [0, 1].  E[X_i] = 0,
+    so E[Y_i] = a_i and the expected body is [0, a_i].  ``block_dim`` fixes
+    the ellipsoid dimension, with longer sequences built from independent
+    blocks, which keeps them pairwise uncorrelated.  ``block_dim=None``
+    regenerates the family at the requested length n (one coupled draw of
+    dimension n), clamping each semi-axis to sqrt(n); the clamp keeps the
+    variance sum (1/n^2) * sum a_i^2/(n+2) under 1/(n+2) at every n.
     """
 
     axes_pattern: tuple[float, ...] = (1.0,)
     block_dim: int | None = None
+
+    _template = Interval(0.0, 1.0)
+    _row = _UPPER_ENDPOINT
 
     def __post_init__(self):
         axes = tuple(float(a) for a in self.axes_pattern)
@@ -437,6 +443,9 @@ class EllipsoidIntervalFamily:
         mode = f"block_dim={self.block_dim}" if self.block_dim else "regenerated"
         return f"ellipsoid_interval a={self.axes_pattern} {mode}"
 
+    def _sample_tag(self, count: int) -> str:
+        return f"ellipsoid_interval dim={self._spec_for(count).dim}"
+
     def _spec_for(self, n: int) -> EllipsoidFamilySpec:
         if n < 1:
             raise FamilyError(f"sequence length must be >= 1, got {n}")
@@ -455,29 +464,26 @@ class EllipsoidIntervalFamily:
         note = " axes=min(pattern, sqrt(n))" if self.block_dim is None else ""
         return f"{self.tag} draw_dim={spec.dim}{note}"
 
+    def _scales(self, n: int, streams: Streams, size: int) -> np.ndarray:
+        return _shifted_block(self._spec_for(n), n, streams, size)
+
+    def _mean_scales(self, n: int) -> np.ndarray:
+        return self.axes_for(n)
+
+    def _scale_variances(self, n: int) -> np.ndarray:
+        return np.resize(interval_family_variances(self._spec_for(n)), n)
+
     def support_block(self, n: int, streams: Streams, size: int) -> np.ndarray:
-        """(n, size, 2) support values on {+1, -1} of ``size`` draws of n
-        intervals, length-major; draw i comes from ``streams(i)``."""
-        y = _shifted_block(self._spec_for(n), n, streams, size)
+        # the upper endpoints written into a zeroed table cost about a tenth of
+        # the general product over a row of two; Y is drawn before the table
+        # is made, which keeps the weak law's n = 1000 blocks fast
+        y = self._scales(n, streams, size)
         out = np.zeros((n, size, 2))
-        out[:, :, 0] = y.T  # support at +1 is the upper endpoint; at -1 it is 0
+        out[:, :, 0] = y.T
         return out
 
-    def support_draws(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        """(n, 2) support values of the n drawn intervals on {+1, -1}."""
-        return self.support_block(n, _restartable(rng), 1)[:, 0]
-
-    def mean_supports(self, n: int) -> np.ndarray:
-        out = np.zeros((n, 2))
-        out[:, 0] = self.axes_for(n)
-        return out
-
-    def variances(self, n: int) -> np.ndarray:
-        """Exact Var of the support values, one row per index."""
-        spec = self._spec_for(n)
-        out = np.zeros((n, 2))
-        out[:, 0] = np.resize(interval_family_variances(spec), n)
-        return out
+    # bound here by name: the benchmark's trace wraps this class's own support_draws
+    support_draws = _ScaledBody.support_draws
 
     def variance_bound(self) -> float:
         """A constant dominating Var of every support value at every length."""
@@ -492,13 +498,8 @@ class EllipsoidIntervalFamily:
         total = float(self.variances(n)[:, 0].sum())
         return 2.0 * total / (epsilon * n) ** 2
 
-    def sample(self, count: int, seed: SeedSpec) -> SetSample:
-        """``count`` intervals from stream ``seed``, carrying their supports on
-        {+1, -1}, the draw ``support_block`` makes; see ``make_interval_family``."""
-        return make_interval_family(self._spec_for(count), count, seed)
 
-
-class _OnGrid:
+class _OnGrid(_ScaledBody):
     """A family of multiples of one template body, ``_template``, with support
     columns on ``direction_grid``; without one, on {+1, -1} (dimension 1 only)."""
 
@@ -521,16 +522,13 @@ class _OnGrid:
         return self.tag
 
     @cached_property
-    def _template_supports(self) -> np.ndarray:
+    def _row(self) -> np.ndarray:
         return embed(self._template, self.grid).values
-
-    def support_draws(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        return self.support_block(n, _restartable(rng), 1)[:, 0]
 
 
 @dataclass(frozen=True)
 class DeterministicFamily(_OnGrid):
-    """Constant family V_k = A for every k; all variances are zero."""
+    """Constant family V_k = A for every k: scales 1; all variances are zero."""
 
     body: ConvexBody
     direction_grid: DirectionGrid | None = None
@@ -544,27 +542,24 @@ class DeterministicFamily(_OnGrid):
     def tag(self) -> str:
         return f"deterministic {type(self.body).__name__}"
 
-    def support_block(self, n: int, streams: Streams, size: int) -> np.ndarray:
-        return np.tile(self._template_supports, (n, size, 1))
+    def _scales(self, n: int, streams: Streams, size: int) -> np.ndarray:
+        return np.ones((size, n))
 
-    def mean_supports(self, n: int) -> np.ndarray:
-        return np.tile(self._template_supports, (n, 1))
+    def _mean_scales(self, n: int) -> np.ndarray:
+        return np.ones(n)
 
-    def variances(self, n: int) -> np.ndarray:
-        return np.zeros((n, len(self.grid)))
+    def _scale_variances(self, n: int) -> np.ndarray:
+        return np.zeros(n)
+
+    def _bodies(self, scales: np.ndarray) -> tuple[ConvexBody, ...]:
+        # the body as given: 1.0 * T would rewrite an interval [-0.0, 0.0] as [0.0, 0.0]
+        return (self.body,) * len(scales)
 
     def variance_bound(self) -> float:
         return 0.0
 
     def chebyshev_bound(self, n: int, epsilon: float) -> float:
         return 0.0
-
-    def sample(self, count: int, seed: SeedSpec) -> SetSample:
-        """``count`` copies of the body, carrying their supports on the family grid."""
-        if count < 1:
-            raise FamilyError("count must be >= 1")
-        return SetSample._drawn(self.grid, np.ones(count), self._template_supports,
-                                partial(tuple, (self.body,) * count), seed, self.tag)
 
 
 @dataclass(frozen=True)
@@ -599,8 +594,19 @@ class ScaledTemplateFamily(_OnGrid):
         extra += f" growth={self.growth}" if self.growth else ""
         return f"scaled_{self.process}{extra} x {type(self.template).__name__}"
 
+    def _sample_tag(self, count: int) -> str:
+        return f"{self.process} x {type(self.template).__name__}"
+
     def _growth_factors(self, n: int) -> np.ndarray:
         return _growth_factors(self.growth, n)
+
+    def _scales(self, n: int, streams: Streams, size: int) -> np.ndarray:
+        """(size, n) scales g_k c_k of ``size`` draws; draw i comes from ``streams(i)``."""
+        return _scalar_block(self.process, n, streams, size, self.rho) * self._growth_factors(n)
+
+    def _mean_scales(self, n: int) -> np.ndarray:
+        # E[c_k] = 1/2 for both processes (uniform innovations preserve it)
+        return 0.5 * self._growth_factors(n)
 
     def _scale_variances(self, n: int) -> np.ndarray:
         if self.process == "iid_uniform":
@@ -613,28 +619,14 @@ class ScaledTemplateFamily(_OnGrid):
             base = np.array(base)
         return base * self._growth_factors(n) ** 2
 
-    def _scales(self, n: int, streams: Streams, size: int) -> np.ndarray:
-        """(size, n) scales g_k c_k of ``size`` draws; draw i comes from ``streams(i)``."""
-        return _scalar_block(self.process, n, streams, size, self.rho) * self._growth_factors(n)
-
-    def support_block(self, n: int, streams: Streams, size: int) -> np.ndarray:
-        """(n, size, m) support values of ``size`` draws of n bodies,
-        length-major; draw i comes from ``streams(i)``."""
-        c = self._scales(n, streams, size)
-        t = self._template_supports
-        return np.multiply(c.T[:, :, None], t, out=np.empty((n, size, len(t))))
-
-    def mean_supports(self, n: int) -> np.ndarray:
-        # E[c_k] = 1/2 for both processes (uniform innovations preserve it)
-        return np.outer(0.5 * self._growth_factors(n), self._template_supports)
-
-    def variances(self, n: int) -> np.ndarray:
-        return np.outer(self._scale_variances(n), self._template_supports ** 2)
+    # bound here by name: the benchmark's trace wraps this class's own sample
+    sample = _ScaledBody.sample
 
     def variance_bound(self) -> float | None:
         if self.growth:
             return None  # per-index variance grows without bound
-        peak = float(np.max(self._template_supports ** 2))
+        with np.errstate(over="ignore"):  # an overflow gives inf, refused with the variances
+            peak = float(np.max(self._row ** 2))
         return peak / 12.0
 
     def chebyshev_bound(self, n: int, epsilon: float) -> float | None:
@@ -642,17 +634,6 @@ class ScaledTemplateFamily(_OnGrid):
             return None
         total = float(self.variances(n).sum())
         return total / (epsilon * n) ** 2
-
-    def sample(self, count: int, seed: SeedSpec) -> SetSample:
-        """``count`` bodies drawn from stream ``seed``.  The sample carries their
-        supports c_k h_T(u) on the family grid, the draw ``support_block`` makes;
-        the bodies c_k * T of ``make_generic_family`` are built when first read."""
-        if count < 1:
-            raise FamilyError("count must be >= 1")
-        c = self._scales(count, _restartable(seed.generator()), 1)[0]
-        return SetSample._drawn(self.grid, c, self._template_supports,
-                                partial(_multiples, self.template, c), seed,
-                                f"{self.process} x {type(self.template).__name__}")
 
 
 # ---------------------------------------------------------------------------

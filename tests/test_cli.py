@@ -362,6 +362,31 @@ def test_bad_growth_is_one_line_error_without_warnings(growth, tmp_path):
                                                  str(tmp_path / "o")]))
 
 
+_HUGE_INTERVAL = "body = interval -1e200 1e200\n"
+
+
+@pytest.mark.parametrize("command", [
+    "command = check-cond\nkind = wlln_eq4\nlength = 10\n",
+    "command = wlln\nn_grid = 10\nepsilon = 0.5\nreplications = 100\n",
+    "command = slln\nmax_n = 100\npaths = 4\n",
+], ids=["check-cond", "wlln", "slln"])
+def test_overflowing_variances_are_one_line_error(command, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(command + "family = scaled_iid\n" + _HUGE_INTERVAL)
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "o"), "--threads", "1"]) == 1
+    assert capsys.readouterr().err.splitlines() == ["setlaw: variance entries must be finite"]
+    assert not (tmp_path / "o").exists()
+
+
+def test_constant_family_of_a_huge_body_has_zero_variances(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("command = wlln\nn_grid = 10\nepsilon = 0.5\nreplications = 100\n"
+                   "family = deterministic\n" + _HUGE_INTERVAL)
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "o"), "--threads", "1"]) == 0
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("n=10 mean_d_h=0 exceedance=0 bound=0 ok=yes\n", "")
+
+
 @pytest.mark.parametrize("length", [0, -1])
 @pytest.mark.parametrize("command,family", [
     ("check-cond", "family = scaled_iid\nbody = box 2 0 0 1 1\n"
@@ -439,11 +464,13 @@ _GRID_1D = "command = sample\nfamily = deterministic\nbody = interval 0 1\nlengt
     ("command = hausdorff\nbody_a = interval 0 1\nbody_b = interval 0 3\n"
      "grid_scheme = uniform_angles_2d\ngrid_count = 8\n", [], "grid_scheme"),
     (WLLN_TEXT.replace("replications = 150", "replications = 50"), [], "replications"),
+    ("command = sample\nfamily = scaled_ar1\nbody = interval 0 1\nrho = -0.5\nlength = 3\n",
+     [], "rho"),
     *((text, [], f"key {key!r}") for _, text, key in _UNREAD),
 ], ids=["threads", "no-equals", "empty-key", "no-command", "grid-scheme-alone",
         "significance", "threshold", "enforce-condition", "kind", "bound-m",
         "no-schedule", "1d-seeded-grid", "1d-exact1d-count", "hausdorff-1d-2d-grid",
-        "wlln-replications", *(name for name, _, _ in _UNREAD)])
+        "wlln-replications", "ar1-negative-rho", *(name for name, _, _ in _UNREAD)])
 def test_bad_input_is_one_line_error(text, args, names, tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(text)

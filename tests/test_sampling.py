@@ -22,11 +22,10 @@ from setlaw import (
     format_body,
     interval_family_variances,
     make_direction_grid,
-    make_generic_family,
-    make_interval_family,
     read_set_sample,
     sample_ellipse_pair,
     sample_ellipsoid_uniform,
+    scalar_mul,
     support_function,
     uniform_density_constant,
     write_set_sample,
@@ -123,8 +122,7 @@ def test_points_stay_inside_the_ellipsoid():
 # -- interval family -----------------------------------------------------------
 
 def test_interval_family_endpoints_bounded():
-    spec = EllipsoidFamilySpec((1.0, 1.0))
-    sample = make_interval_family(spec, 2000, SeedSpec(16))
+    sample = EllipsoidIntervalFamily((1.0, 1.0), block_dim=2).sample(2000, SeedSpec(16))
     his = np.array([b.hi for b in sample.bodies])
     assert np.all(his >= 0.0)
     assert np.all(his <= 2.0 + 1e-12)
@@ -134,18 +132,11 @@ def test_interval_family_endpoints_bounded():
 def test_interval_family_upper_endpoint_variance():
     n, count = 4, 80_000
     spec = EllipsoidFamilySpec((1.0,) * n)
-    sample = make_interval_family(spec, count * n, SeedSpec(18))
+    sample = EllipsoidIntervalFamily(spec.semi_axes, block_dim=n).sample(count * n, SeedSpec(18))
     his = np.array([b.hi for b in sample.bodies]).reshape(count, n)
     target = interval_family_variances(spec)
     se = _marginal_var_se((1.0,) * n, n, count)
     assert np.all(np.abs(his.var(axis=0, ddof=1) - target) <= 5 * se)
-
-
-def test_interval_family_from_a_plain_spec():
-    axes = (1.0, 2.0, 0.5)
-    got = make_interval_family(EllipsoidFamilySpec(axes), 7, SeedSpec(1))
-    want = EllipsoidIntervalFamily(axes, block_dim=len(axes)).sample(7, SeedSpec(1))
-    assert got.bodies == want.bodies
 
 
 # -- ellipse pairs --------------------------------------------------------------
@@ -180,18 +171,18 @@ def test_ellipse_pair_validation():
         sample_ellipse_pair(0.0, 1.0, (0.0, 0.0), 10, SeedSpec(1))
 
 
-# -- generic scalar families -----------------------------------------------------
+# -- scaled template families -----------------------------------------------------
 
 def test_iid_family_scales_template():
-    sample = make_generic_family(Interval(0, 1), "iid_uniform", 50, SeedSpec(20))
+    sample = ScaledTemplateFamily(Interval(0, 1)).sample(50, SeedSpec(20))
     assert all(isinstance(b, Interval) and b.lo == 0.0 and 0.0 <= b.hi <= 1.0
                for b in sample.bodies)
 
 
 def test_ar1_lag_one_support_covariance_positive():
     rho, count, reps = 0.9, 2, 4000
-    samples = [make_generic_family(Interval(0, 1), "ar1", count, SeedSpec(21, r), rho=rho)
-               for r in range(reps)]
+    fam = ScaledTemplateFamily(Interval(0, 1), "ar1", rho=rho)
+    samples = [fam.sample(count, SeedSpec(21, r)) for r in range(reps)]
     s0 = np.array([support_function(s.bodies[0], UP) for s in samples])
     s1 = np.array([support_function(s.bodies[1], UP) for s in samples])
     cov = np.cov(s0, s1, ddof=1)[0, 1]
@@ -200,25 +191,20 @@ def test_ar1_lag_one_support_covariance_positive():
     target = rho / 12.0
     brute = np.cov(np.array([
         (c.bodies[0].hi, c.bodies[1].hi) for c in
-        (make_generic_family(Interval(0, 1), "ar1", 2, SeedSpec(77, r), rho=rho)
-         for r in range(20000))]).T, ddof=1)[0, 1]
+        (fam.sample(2, SeedSpec(77, r)) for r in range(20000))]).T, ddof=1)[0, 1]
     assert cov > 0.0
     assert abs(brute - target) <= 5 * (1.0 / 12.0) / math.sqrt(20000) * 3
     assert abs(cov - target) <= 5 * (1.0 / 12.0) / math.sqrt(reps) * 3
 
 
-def test_negative_scalars_are_signalled():
-    with pytest.raises(FamilyError, match="negative"):
-        make_generic_family(Interval(0, 1), "ar1", 200, SeedSpec(23), rho=-0.95)
-
-
-def test_generic_family_validation():
-    with pytest.raises(FamilyError):
-        make_generic_family(Interval(0, 1), "ar1", 10, SeedSpec(1), rho=1.5)
-    with pytest.raises(FamilyError):
-        make_generic_family(Interval(0, 1), "no_such_process", 10, SeedSpec(1))
-    with pytest.raises(FamilyError, match="unknown scalar process"):
-        make_generic_family(Interval(0, 1), "uncorrelated_ellipsoid", 10, SeedSpec(1))
+@pytest.mark.parametrize("process,rho,match", [
+    ("no_such_process", 0.0, "process"),
+    ("uncorrelated_ellipsoid", 0.0, "process"),
+    *(("ar1", rho, "rho") for rho in (-0.95, -1e-12, 1.0, 1.5, math.nan)),
+])
+def test_scaled_family_validation(process, rho, match):
+    with pytest.raises(FamilyError, match=match):
+        ScaledTemplateFamily(Interval(0, 1), process, rho=rho)
 
 
 # -- determinism and serialization ------------------------------------------------
@@ -603,30 +589,28 @@ def test_family_sample_carries_its_support_block_draw(name):
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
-def _body_makers_today(fam, count, seed):
-    """The bodies ``make_interval_family`` and ``make_generic_family`` build for a family."""
+def _reference_bodies(fam, count, seed):
+    """The bodies of a family's draw on stream ``seed``, built from the raw draws."""
     if isinstance(fam, EllipsoidIntervalFamily):
         spec = fam._spec_for(count)
         # Y = X + a over independent blocks, from the public ellipsoid draw
         x = sample_ellipsoid_uniform(spec, -(-count // spec.dim), seed)
-        by_points = [Interval(0.0, float(y)) for y in (x + spec.axes).ravel()[:count]]
-        assert make_interval_family(spec, count, seed).bodies == tuple(by_points)
-        return by_points
+        return [Interval(0.0, float(y)) for y in (x + spec.axes).ravel()[:count]]
     if isinstance(fam, DeterministicFamily):
         return [fam.body] * count
-    return make_generic_family(fam.template, fam.process, count, seed, rho=fam.rho,
-                               growth=fam.growth).bodies
+    c = _scalar_block(fam.process, count, lambda _row: seed.generator(), 1, fam.rho)[0]
+    c = c * np.arange(1, count + 1) ** fam.growth
+    return [scalar_mul(float(v), fam.template) for v in c]
 
 
 @pytest.mark.parametrize("name", sorted(_SAMPLE_FAMILIES))
-def test_family_bodies_are_built_when_read_as_the_body_makers_build_them(name, monkeypatch):
+def test_family_bodies_are_built_when_read_as_scales_times_the_body(name, monkeypatch):
     from setlaw import sampling
     fam = _SAMPLE_FAMILIES[name]
     seed = SeedSpec(23, 5)
     built = []
-    for attr in ("Interval", "scalar_mul"):
-        original = getattr(sampling, attr)
-        monkeypatch.setattr(sampling, attr, lambda *a, _f=original: built.append(a) or _f(*a))
+    original = sampling.scalar_mul
+    monkeypatch.setattr(sampling, "scalar_mul", lambda *a: built.append(a) or original(*a))
     sample = fam.sample(9, seed)
     table = sample.supports(fam.grid)
     assert built == []  # drawing and reading the table build no body
@@ -637,9 +621,28 @@ def test_family_bodies_are_built_when_read_as_the_body_makers_build_them(name, m
     by_body = SetSample(sample.bodies).supports(fam.grid)
     ulp = np.spacing(np.abs(by_body).max(axis=1, keepdims=True))
     assert np.all(np.abs(by_body - table) <= 4 * ulp)
-    assert got == [format_body(b) for b in _body_makers_today(fam, 9, seed)]
+    assert got == [format_body(b) for b in _reference_bodies(fam, 9, seed)]
     again = pickle.loads(pickle.dumps(fam.sample(9, seed)))
     assert [format_body(b) for b in again.bodies] == got
+
+
+@pytest.mark.parametrize("name", sorted(_SAMPLE_FAMILIES))
+def test_draws_and_moments_are_scales_times_the_support_row(name):
+    fam = _SAMPLE_FAMILIES[name]
+    n, size = 9, 3
+    streams, row = (lambda i: SeedSpec(31, i).generator()), fam._row
+    for got, want in (
+            (fam.support_block(n, streams, size),
+             np.multiply.outer(fam._scales(n, streams, size).T, row)),
+            (fam.mean_supports(n), np.outer(fam._mean_scales(n), row)),
+            (fam.variances(n), np.outer(fam._scale_variances(n), row ** 2))):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_deterministic_sample_keeps_the_body_as_given(tmp_path):
+    path = tmp_path / "sample.txt"
+    write_set_sample(DeterministicFamily(Interval(-0.0, 0.0)).sample(3, SeedSpec(1)), path)
+    assert path.read_text(encoding="utf-8").splitlines()[1:] == ["interval -0.0 0.0"] * 3
 
 
 # -- growth factors -----------------------------------------------------------------
@@ -648,8 +651,6 @@ def test_family_bodies_are_built_when_read_as_the_body_makers_build_them(name, m
 def test_non_finite_growth_is_rejected(growth):
     with pytest.raises(FamilyError, match="finite"):
         ScaledTemplateFamily(Interval(0, 1), growth=growth)
-    with pytest.raises(FamilyError, match="finite"):
-        make_generic_family(Interval(0, 1), "iid_uniform", 5, SeedSpec(1), growth=growth)
 
 
 def test_overflowing_growth_is_an_error_not_a_warning():
@@ -665,4 +666,4 @@ def test_overflowing_growth_is_an_error_not_a_warning():
             with pytest.raises(FamilyError, match="overflows"):
                 call(n)
         with pytest.raises(FamilyError, match="overflows"):
-            make_generic_family(Interval(0, 1), "iid_uniform", 10, SeedSpec(1), growth=400.0)
+            fam.sample(10, SeedSpec(1))
