@@ -45,13 +45,11 @@ from .sampling import (
 from .stats import (
     ConditionResult,
     StatsError,
-    SupportCovMatrix,
     UncorrelationVerdict,
     VarianceSchedule,
     aumann_mean_estimate,
     empirical_support_covariance,
     evaluate_variance_condition,
-    support_covariance_matrix,
     test_interval_endpoint_reduction,
     test_uncorrelated,
 )

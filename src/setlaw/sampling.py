@@ -16,8 +16,10 @@ counter-based Philox generator, so any replication can be regenerated in
 isolation and results cannot depend on worker count.  Families draw
 blocks of replications: each row takes its raw numbers from its own
 stream, and the transform to supports runs once for the whole block.
-A family's ``sample`` is one such draw: it carries its support table and
-builds body objects only when they are read.
+A family's ``sample`` is one such draw: it holds its family and its
+scales, and builds body objects only when they are read.  The grid rule,
+the support row and ``describe``, the family's one label, live in the
+family base ``_ScaledBody``.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import ast
 import math
 import re
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
@@ -149,9 +151,10 @@ class SetSample:
     """Ordered sequence of body draws plus the seed that produced them.
 
     ``SetSample(bodies, seed, family_tag)`` holds the bodies it is given.  A
-    family's ``sample`` gives one that carries the support table of its
-    draws on the family grid instead, and builds ``bodies`` from the same
-    draws when they are first read.  ``supports(grid)`` serves both kinds.
+    family's ``sample`` gives one that holds its family and one scale per
+    draw instead: its support table on the family grid is the scales times
+    the family's support row, and ``bodies`` are built from the same scales
+    when first read.  ``supports(grid)`` serves both kinds.
     """
 
     def __init__(self, bodies, seed: SeedSpec | None = None, family_tag: str = "adhoc"):
@@ -161,44 +164,43 @@ class SetSample:
         d = bodies[0].dim
         if any(b.dim != d for b in bodies):
             raise FamilyError("all bodies in a sample must share one dimension")
-        self._bodies, self._grid = bodies, None
-        self.seed, self.family_tag = seed, family_tag
+        self._bodies, self._family = bodies, None
+        self.seed, self._tag = seed, family_tag
 
     @classmethod
-    def _drawn(cls, grid: DirectionGrid, scales: np.ndarray, row: np.ndarray,
-               make_bodies: Callable[[], tuple[ConvexBody, ...]], seed: SeedSpec,
-               family_tag: str) -> "SetSample":
-        """A family draw of L bodies whose support table on ``grid`` is
-        ``scales[k] * row[j]``, kept as its two factors: one scale per draw and
-        one support row per family.  ``make_bodies()`` gives the bodies of the
-        same draws (a ``partial``, so the sample pickles with its family)."""
+    def _drawn(cls, family: "_ScaledBody", scales: np.ndarray, seed: SeedSpec) -> "SetSample":
+        """The draw s_k T, k = 1..L, of ``family`` from stream ``seed``."""
         sample = cls.__new__(cls)
-        sample._bodies, sample._make_bodies = None, make_bodies
-        sample._grid, sample._scales, sample._row = grid, scales, row
-        sample.seed, sample.family_tag = seed, family_tag
+        sample._bodies, sample._family, sample._scales = None, family, scales
+        sample.seed = seed
         return sample
+
+    @property
+    def family_tag(self) -> str:
+        """The tag given, or the family's ``describe`` at this sample's length."""
+        return self._tag if self._family is None else self._family.describe(len(self))
 
     @property
     def bodies(self) -> tuple[ConvexBody, ...]:
         if self._bodies is None:
-            self._bodies = self._make_bodies()
+            self._bodies = self._family._bodies(self._scales)
         return self._bodies
 
     @property
     def dim(self) -> int:
-        return self._grid.dim if self._grid is not None else self._bodies[0].dim
+        return self._family.dim if self._family is not None else self._bodies[0].dim
 
     def __len__(self) -> int:
-        return len(self._scales) if self._grid is not None else len(self._bodies)
+        return len(self._scales) if self._family is not None else len(self._bodies)
 
     def supports(self, grid: DirectionGrid) -> np.ndarray:
         """(L, m) support values of the L draws on the rows of ``grid``.
 
-        The carried table when ``grid`` equals the sample's own grid;
-        otherwise one ``support_values`` call per body.
+        The scales times the family's support row when ``grid`` equals the
+        family grid; otherwise one ``support_values`` call per body.
         """
-        if self._grid is not None and grid == self._grid:
-            return np.multiply.outer(self._scales, self._row)
+        if self._family is not None and grid == self._family.grid:
+            return np.multiply.outer(self._scales, self._family._row)
         return np.stack([support_values(b, grid.matrix) for b in self.bodies])
 
 
@@ -266,8 +268,12 @@ def _shifted_block(spec: EllipsoidFamilySpec, count: int, streams: Streams,
 
 
 def interval_family_variances(spec: EllipsoidFamilySpec) -> np.ndarray:
-    """Exact per-index variance of the upper endpoint: a_i^2 / (dim + 2)."""
-    return spec.axes ** 2 / (spec.dim + 2.0)
+    """Exact per-index variance of the upper endpoint: a_i^2 / (dim + 2).
+
+    An a_i^2 that overflows gives inf, which a variance schedule refuses.
+    """
+    with np.errstate(over="ignore"):
+        return spec.axes ** 2 / (spec.dim + 2.0)
 
 
 def sample_ellipse_pair(a: float, b: float, center: tuple[float, float],
@@ -335,9 +341,32 @@ def _growth_factors(growth: float, n: int) -> np.ndarray:
 
 class _ScaledBody:
     """A family V_k = s_k T.  Each family gives its scale process (``_scales``,
-    ``_mean_scales``, ``_scale_variances``), its body ``_template`` with the
-    support row ``_row`` of that body on the family grid, its tags and its two
-    bounds; draws, samples, means and variances follow from those here."""
+    ``_mean_scales``, ``_scale_variances``), its body ``_template``, its one
+    label ``describe(n)`` and its two bounds.  The rest is written here once:
+    the grid (``direction_grid``; without one, the exact grid {+1, -1} of
+    dimension 1), the support row ``_row`` of T on that grid, and the draws,
+    samples, means and variances that follow from them."""
+
+    direction_grid: DirectionGrid | None = None
+
+    @property
+    def dim(self) -> int:
+        return self._template.dim
+
+    @property
+    def grid(self) -> DirectionGrid:
+        return self.direction_grid if self.direction_grid is not None else _default_grid(1)
+
+    def _check_grid(self) -> None:
+        if self.direction_grid is None:
+            if self.dim >= 2:
+                raise FamilyError(f"{type(self).__name__} of dim >= 2 needs a direction grid")
+        elif self.direction_grid.dim != self.dim:
+            raise FamilyError("grid dimension must match the family's bodies")
+
+    @cached_property
+    def _row(self) -> np.ndarray:
+        return embed(self._template, self.grid).values
 
     def support_block(self, n: int, streams: Streams, size: int) -> np.ndarray:
         """(n, size, m) support values of ``size`` draws of n bodies,
@@ -367,21 +396,22 @@ class _ScaledBody:
         return out
 
     def sample(self, count: int, seed: SeedSpec) -> SetSample:
-        """``count`` bodies drawn from stream ``seed``.  The sample carries their
-        supports s_k h_T(u) on the family grid, the draw ``support_block``
-        makes; the bodies are built when first read."""
+        """``count`` bodies drawn from stream ``seed``: the scales of the draw
+        ``support_block`` makes, with the bodies built when first read."""
         if count < 1:
             raise FamilyError(f"sequence length must be >= 1, got {count}")
-        s = self._scales(count, lambda _row: seed.generator(), 1)[0]
-        return SetSample._drawn(self.grid, s, self._row, partial(self._bodies, s), seed,
-                                self._sample_tag(count))
+        return SetSample._drawn(self, self._scales(count, lambda _row: seed.generator(), 1)[0],
+                                seed)
 
     def _bodies(self, scales: np.ndarray) -> tuple[ConvexBody, ...]:
         """The bodies s_k T of one draw."""
         return tuple(scalar_mul(float(v), self._template) for v in scales)
 
-    def _sample_tag(self, count: int) -> str:
-        return self.tag
+
+def _chebyshev(total: float, epsilon: float, n: int) -> float:
+    """total / (epsilon n)^2; inf where (epsilon n)^2 underflows to 0."""
+    scale = (epsilon * n) ** 2
+    return total / scale if scale else math.inf
 
 
 @lru_cache(maxsize=64)
@@ -430,22 +460,6 @@ class EllipsoidIntervalFamily(_ScaledBody):
         if self.block_dim is not None and self.block_dim < 1:
             raise FamilyError("block_dim must be >= 1 when given")
 
-    @property
-    def dim(self) -> int:
-        return 1
-
-    @property
-    def grid(self) -> DirectionGrid:
-        return _default_grid(1)
-
-    @property
-    def tag(self) -> str:
-        mode = f"block_dim={self.block_dim}" if self.block_dim else "regenerated"
-        return f"ellipsoid_interval a={self.axes_pattern} {mode}"
-
-    def _sample_tag(self, count: int) -> str:
-        return f"ellipsoid_interval dim={self._spec_for(count).dim}"
-
     def _spec_for(self, n: int) -> EllipsoidFamilySpec:
         if n < 1:
             raise FamilyError(f"sequence length must be >= 1, got {n}")
@@ -461,8 +475,9 @@ class EllipsoidIntervalFamily(_ScaledBody):
         spec = self._spec_for(n)
         # regenerated mode always applies the clamp rule, even if it only
         # bites at lengths below the one being described
+        mode = f"block_dim={self.block_dim}" if self.block_dim else "regenerated"
         note = " axes=min(pattern, sqrt(n))" if self.block_dim is None else ""
-        return f"{self.tag} draw_dim={spec.dim}{note}"
+        return f"ellipsoid_interval a={self.axes_pattern} {mode} draw_dim={spec.dim}{note}"
 
     def _scales(self, n: int, streams: Streams, size: int) -> np.ndarray:
         return _shifted_block(self._spec_for(n), n, streams, size)
@@ -486,48 +501,24 @@ class EllipsoidIntervalFamily(_ScaledBody):
     support_draws = _ScaledBody.support_draws
 
     def variance_bound(self) -> float:
-        """A constant dominating Var of every support value at every length."""
-        peak = max(self.axes_pattern) ** 2
+        """A constant dominating Var of every support value at every length:
+        inf when a block's a^2 overflows, which the variance schedule refuses."""
+        a = max(self.axes_pattern)
+        peak = a * a  # inf, not OverflowError, where a ** 2 overflows
         if self.block_dim is not None:
             return peak / (self.block_dim + 2.0)
-        # regenerated: min(a^2, n) / (n+2) <= peak / (peak + 2) for all n
-        return peak / (peak + 2.0)
+        # regenerated: min(a^2, n) / (n+2) <= peak / (peak + 2) for all n, whose
+        # limit is 1 when a^2 overflows
+        return peak / (peak + 2.0) if math.isfinite(peak) else 1.0
 
     def chebyshev_bound(self, n: int, epsilon: float) -> float:
         """Published tail bound 2 * sum Var(Y_i) / (epsilon n)^2."""
         total = float(self.variances(n)[:, 0].sum())
-        return 2.0 * total / (epsilon * n) ** 2
-
-
-class _OnGrid(_ScaledBody):
-    """A family of multiples of one template body, ``_template``, with support
-    columns on ``direction_grid``; without one, on {+1, -1} (dimension 1 only)."""
-
-    def _check_grid(self) -> None:
-        if self.direction_grid is None:
-            if self.dim >= 2:
-                raise FamilyError(f"{type(self).__name__} of dim >= 2 needs a direction grid")
-        elif self.direction_grid.dim != self.dim:
-            raise FamilyError("grid dimension must match the family's bodies")
-
-    @property
-    def dim(self) -> int:
-        return self._template.dim
-
-    @property
-    def grid(self) -> DirectionGrid:
-        return self.direction_grid if self.direction_grid is not None else _default_grid(1)
-
-    def describe(self, n: int) -> str:
-        return self.tag
-
-    @cached_property
-    def _row(self) -> np.ndarray:
-        return embed(self._template, self.grid).values
+        return _chebyshev(2.0 * total, epsilon, n)
 
 
 @dataclass(frozen=True)
-class DeterministicFamily(_OnGrid):
+class DeterministicFamily(_ScaledBody):
     """Constant family V_k = A for every k: scales 1; all variances are zero."""
 
     body: ConvexBody
@@ -538,8 +529,7 @@ class DeterministicFamily(_OnGrid):
     def __post_init__(self):
         self._check_grid()
 
-    @property
-    def tag(self) -> str:
+    def describe(self, n: int) -> str:
         return f"deterministic {type(self.body).__name__}"
 
     def _scales(self, n: int, streams: Streams, size: int) -> np.ndarray:
@@ -563,7 +553,7 @@ class DeterministicFamily(_OnGrid):
 
 
 @dataclass(frozen=True)
-class ScaledTemplateFamily(_OnGrid):
+class ScaledTemplateFamily(_ScaledBody):
     """V_k = g_k * c_k * template with c_k a nonnegative scalar process.
 
     ``process`` is ``iid_uniform`` or ``ar1`` (uniform innovations keep the
@@ -588,14 +578,10 @@ class ScaledTemplateFamily(_OnGrid):
         _growth_factors(self.growth, 1)  # rejects a non-finite growth
         self._check_grid()
 
-    @property
-    def tag(self) -> str:
+    def describe(self, n: int) -> str:
         extra = f" rho={self.rho}" if self.process == "ar1" else ""
         extra += f" growth={self.growth}" if self.growth else ""
         return f"scaled_{self.process}{extra} x {type(self.template).__name__}"
-
-    def _sample_tag(self, count: int) -> str:
-        return f"{self.process} x {type(self.template).__name__}"
 
     def _growth_factors(self, n: int) -> np.ndarray:
         return _growth_factors(self.growth, n)
@@ -633,7 +619,7 @@ class ScaledTemplateFamily(_OnGrid):
         if self.dim != 1:
             return None
         total = float(self.variances(n).sum())
-        return total / (epsilon * n) ** 2
+        return _chebyshev(total, epsilon, n)
 
 
 # ---------------------------------------------------------------------------

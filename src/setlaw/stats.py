@@ -44,25 +44,6 @@ class StatsError(ValueError):
 
 
 @dataclass(frozen=True)
-class SupportCovMatrix:
-    """Covariances of support values for one index pair, per direction."""
-
-    grid: DirectionGrid
-    k: int
-    l: int
-    covariances: np.ndarray
-
-    def __post_init__(self):
-        vals = np.asarray(self.covariances, dtype=float)
-        vals.setflags(write=False)
-        object.__setattr__(self, "covariances", vals)
-        if vals.shape != (len(self.grid),):
-            raise StatsError("one covariance per grid direction required")
-        if self.k == self.l and np.any(vals < -1e-12):
-            raise StatsError("diagonal covariances are variances and must be >= -1e-12")
-
-
-@dataclass(frozen=True)
 class VarianceSchedule:
     """Per-index variances of support values, one column per grid direction."""
 
@@ -92,8 +73,9 @@ class VarianceSchedule:
     def empirical(cls, replications: Sequence[SetSample],
                   grid: DirectionGrid | None = None) -> "VarianceSchedule":
         tensor, grid = _support_tensor(replications, grid)
-        centered = tensor - tensor.mean(axis=0)
-        return cls(grid, _covariance(centered, centered))
+        with np.errstate(over="ignore", invalid="ignore"):  # inf is refused in __post_init__
+            centered = tensor - tensor.mean(axis=0)
+            return cls(grid, _covariance(centered, centered))
 
     def __len__(self) -> int:
         return self.per_index.shape[0]
@@ -161,8 +143,14 @@ def _covariance(centered_x: np.ndarray, centered_y: np.ndarray) -> np.ndarray:
 
 
 def _correlation(cov: np.ndarray, var_x: np.ndarray, var_y: np.ndarray) -> np.ndarray:
-    """cov / sqrt(var_x var_y), clamped to [-1, 1]; 0 where a variance is 0."""
+    """cov / sqrt(var_x var_y), clamped to [-1, 1]; 0 where a variance is 0.
+
+    A covariance or a variance product that is not finite (it overflowed,
+    or the support values did) is an error, not a correlation of nan or 0.
+    """
     denom = np.sqrt(var_x * var_y)
+    if not (np.isfinite(cov).all() and np.isfinite(denom).all()):
+        raise StatsError("support covariances overflow: the support values are too large")
     ok = (var_x > 0.0) & (var_y > 0.0) & (denom > 0.0)
     return np.where(ok, np.clip(cov / np.where(ok, denom, 1.0), -1.0, 1.0), 0.0)
 
@@ -226,14 +214,6 @@ def _corr_threshold(significance: float, n_tests: int, replications: int) -> flo
     return z / math.sqrt(replications)
 
 
-def support_covariance_matrix(replications: Sequence[SetSample], k: int, l: int,
-                              grid: DirectionGrid | None = None) -> SupportCovMatrix:
-    """Per-direction covariance of indices (k, l) across replications."""
-    tensor, grid = _support_tensor(replications, grid)
-    centered = tensor - tensor.mean(axis=0)
-    return SupportCovMatrix(grid, k, l, _covariance(centered[:, k], centered[:, l]))
-
-
 def test_uncorrelated(replications: Sequence[SetSample],
                       grid: DirectionGrid | None = None,
                       significance: float = 0.05) -> UncorrelationVerdict:
@@ -250,13 +230,16 @@ def test_uncorrelated(replications: Sequence[SetSample],
     n_reps, length, n_dirs = tensor.shape
     if length < 2:
         raise StatsError("uncorrelation needs a sequence of length >= 2")
-    tensor -= tensor.mean(axis=0)  # centered in place: the tensor is ours
     kk, ll = np.triu_indices(length, k=1)
     threshold = _corr_threshold(significance, len(kk) * n_dirs, n_reps)
-    variances = np.stack([_covariance(tensor[:, k], tensor[:, k]) for k in range(length)])
-    # one pair at a time keeps temporaries at (R, m), not (R, pairs, m)
-    covariance = np.stack([_covariance(tensor[:, k], tensor[:, l]) for k, l in zip(kk, ll)])
-    correlation = _correlation(covariance, variances[kk], variances[ll])
+    # an overflow gives inf or nan, which _correlation refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        tensor -= tensor.mean(axis=0)  # centered in place: the tensor is ours
+        variances = np.stack([_covariance(tensor[:, k], tensor[:, k]) for k in range(length)])
+        # one pair at a time keeps temporaries at (R, m), not (R, pairs, m)
+        covariance = np.stack([_covariance(tensor[:, k], tensor[:, l])
+                               for k, l in zip(kk, ll)])
+        correlation = _correlation(covariance, variances[kk], variances[ll])
     return UncorrelationVerdict(threshold, np.column_stack([kk, ll]), covariance, correlation)
 
 

@@ -70,3 +70,40 @@ def test_traced_uncorr_run_records_a_span_at_every_stage(tmp_path):
             yield span[0]
     assert any("stats.uncorr" in ancestors(span) for span in spans
                if span[0] == "stats.tensor")
+
+
+def _traced_cli_run(config: str, tmp_path: Path) -> list:
+    """The spans of one traced ``bench/child.py`` run of the CLI at one worker."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config)
+    report = tmp_path / "report.json"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "bench" / "child.py"), "--report", str(report),
+         "--trace", "1", "cli", "--", "--config", str(cfg), "--out", str(tmp_path / "out"),
+         "--threads", "1"],
+        capture_output=True, text=True, env=env, cwd=ROOT)
+    assert result.returncode == 0, result.stderr
+    data = json.loads(report.read_text())
+    assert data["missing_hooks"] == []
+    return data["spans"]
+
+
+def test_traced_slln_run_records_one_draw_per_path(tmp_path):
+    spans = _traced_cli_run("command = slln\nseed = 3\nfamily = ellipsoid_interval\na = 1\n"
+                            "block_dim = 4\nmax_n = 100\npaths = 16\n", tmp_path)
+    draws = [span for span in spans if span[0] == "sampling.draw"]
+    assert len(draws) == 16
+
+    def ancestors(span):
+        while span[3] >= 0:
+            span = spans[span[3]]
+            yield span[0]
+    assert all("harness.run_slln" in ancestors(span) for span in draws)
+
+
+def test_traced_wlln_run_records_one_chunk_map_per_n(tmp_path):
+    spans = _traced_cli_run("command = wlln\nseed = 3\nfamily = ellipsoid_interval\na = 1\n"
+                            "n_grid = 10,100\nepsilon = 0.5\nreplications = 300\n", tmp_path)
+    assert [span[4] for span in spans if span[0] == "harness.chunks"] == \
+        [{"n": 10, "items": 300}, {"n": 100, "items": 300}]

@@ -363,19 +363,55 @@ def test_bad_growth_is_one_line_error_without_warnings(growth, tmp_path):
 
 
 _HUGE_INTERVAL = "body = interval -1e200 1e200\n"
+_HUGE_SCALED = "family = scaled_iid\n" + _HUGE_INTERVAL
+_HUGE_BLOCKS = "family = ellipsoid_interval\na = 1e200\nblock_dim = 4\n"
+_OVERFLOW_COMMANDS = {
+    "check-cond": "command = check-cond\nkind = wlln_eq4\nlength = 10\n",
+    "wlln": "command = wlln\nn_grid = 10\nepsilon = 0.5\nreplications = 100\n",
+    "slln": "command = slln\nmax_n = 100\npaths = 4\n",
+}
 
 
-@pytest.mark.parametrize("command", [
-    "command = check-cond\nkind = wlln_eq4\nlength = 10\n",
-    "command = wlln\nn_grid = 10\nepsilon = 0.5\nreplications = 100\n",
-    "command = slln\nmax_n = 100\npaths = 4\n",
-], ids=["check-cond", "wlln", "slln"])
-def test_overflowing_variances_are_one_line_error(command, tmp_path, capsys):
+@pytest.mark.parametrize("command,family", [
+    *((command, _HUGE_SCALED) for command in _OVERFLOW_COMMANDS.values()),
+    *((command, _HUGE_BLOCKS) for command in _OVERFLOW_COMMANDS.values()),
+], ids=[*_OVERFLOW_COMMANDS, *(f"{name}-ellipsoid" for name in _OVERFLOW_COMMANDS)])
+def test_overflowing_variances_are_one_line_error(command, family, tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(command + "family = scaled_iid\n" + _HUGE_INTERVAL)
+    cfg.write_text(command + family)
     assert main(["--config", str(cfg), "--out", str(tmp_path / "o"), "--threads", "1"]) == 1
     assert capsys.readouterr().err.splitlines() == ["setlaw: variance entries must be finite"]
     assert not (tmp_path / "o").exists()
+
+
+def test_regenerated_intervals_clamp_huge_axes(tmp_path, capsys):
+    """Regenerated mode clamps each semi-axis to sqrt(n), so a huge one runs as
+    any axis above sqrt(max_n) does."""
+    outs = {}
+    for a in ("1e200", "1e6"):
+        cfg = tmp_path / f"run-{a}.cfg"
+        cfg.write_text(f"command = slln\nfamily = ellipsoid_interval\na = {a}\n"
+                       "max_n = 100\npaths = 4\n")
+        out = tmp_path / f"o-{a}"
+        assert main(["--config", str(cfg), "--out", str(out), "--threads", "1"]) == 0
+        outs[a] = {p.name: p.read_bytes() for p in out.glob("*.csv")}
+    assert capsys.readouterr().err == ""
+    assert outs["1e200"] and outs["1e200"] == outs["1e6"]
+
+
+@pytest.mark.parametrize("family", [
+    "family = ellipsoid_interval\n",
+    "family = scaled_iid\nbody = interval 0 1\n",
+], ids=["ellipsoid-interval", "scaled-interval"])
+def test_tiny_epsilon_gives_an_infinite_bound(family, tmp_path, capsys):
+    """An (epsilon n)^2 that underflows to 0 gives bound inf, as a tiny one
+    above the underflow does, not a ZeroDivisionError."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"command = wlln\n{family}n_grid = 10\nepsilon = 1e-300\n"
+                   "replications = 100\n")
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "o"), "--threads", "1"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "" and captured.out.endswith(" bound=inf ok=yes\n"), captured
 
 
 def test_constant_family_of_a_huge_body_has_zero_variances(tmp_path, capsys):
@@ -445,6 +481,7 @@ _UNREAD = [
     ("slln_bounded-threshold", _BOUNDED + "threshold = 0.5\n", "threshold"),
 ]
 _GRID_1D = "command = sample\nfamily = deterministic\nbody = interval 0 1\nlength = 3\n"
+_UNCORR_OVERFLOW = "command = test-uncorr\nlength = 4\nreplications = 50\n"
 
 
 @pytest.mark.parametrize("text,args,names", [
@@ -466,11 +503,15 @@ _GRID_1D = "command = sample\nfamily = deterministic\nbody = interval 0 1\nlengt
     (WLLN_TEXT.replace("replications = 150", "replications = 50"), [], "replications"),
     ("command = sample\nfamily = scaled_ar1\nbody = interval 0 1\nrho = -0.5\nlength = 3\n",
      [], "rho"),
+    # support values whose products overflow: no correlation of nan
+    (_UNCORR_OVERFLOW + _HUGE_SCALED, [], "overflow"),
+    (_UNCORR_OVERFLOW + _HUGE_BLOCKS, [], "overflow"),
     *((text, [], f"key {key!r}") for _, text, key in _UNREAD),
 ], ids=["threads", "no-equals", "empty-key", "no-command", "grid-scheme-alone",
         "significance", "threshold", "enforce-condition", "kind", "bound-m",
         "no-schedule", "1d-seeded-grid", "1d-exact1d-count", "hausdorff-1d-2d-grid",
-        "wlln-replications", "ar1-negative-rho", *(name for name, _, _ in _UNREAD)])
+        "wlln-replications", "ar1-negative-rho", "uncorr-overflow-scaled",
+        "uncorr-overflow-ellipsoid", *(name for name, _, _ in _UNREAD)])
 def test_bad_input_is_one_line_error(text, args, names, tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(text)

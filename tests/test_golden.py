@@ -187,7 +187,7 @@ GOLDEN = {
         'manifest.txt':
             '0f120ee686da4fac6b909a174323babc183d46c849cdbbe59d0a3a301449b1fe',
         'sample.txt':
-            'dc144ec1bb63d1a79ebd5cb959cfc44addcd08ec696079739ab31572ec303046',
+            'f4c0bfa6abce7644140395511a6b0e29fd9554a0a83947dacb5d2741e1d506d7',
         '<stdout>':
             'f8764eb4a390b0882fa34cea91da72eef0384b60dd8bdbb438a7d2133c4a5c44',
     },

@@ -232,12 +232,17 @@ def test_sample_file_round_trip(tmp_path):
     ScaledTemplateFamily(Box((-1.0, 0.0), (1.0, 2.0)), "iid_uniform",
                          direction_grid=make_direction_grid(2, 8, "uniform_angles_2d")),
     DeterministicFamily(Interval(0.5, 2.0)),
-], ids=["ellipsoid-interval", "scaled-box2d", "deterministic"])
+    ScaledTemplateFamily(Interval(0.0, 1.0), "ar1", rho=0.85, growth=0.5),
+], ids=["ellipsoid-interval", "scaled-box2d", "deterministic", "ar1"])
 def test_sample_file_round_trip_keeps_the_family_tag(family, tmp_path):
     sample = family.sample(5, SeedSpec(42, 3))
+    # the header names the family as the manifest does, parameters included
+    assert sample.family_tag == family.describe(5)
     assert " " in sample.family_tag  # a tag a whitespace split would cut
     path = tmp_path / "sample.txt"
     write_set_sample(sample, path)
+    assert path.read_text(encoding="utf-8").startswith(
+        f"# setlaw-sample family={family.describe(5)!r} ")
     again = read_set_sample(path)
     assert (again.family_tag, again.seed, again.bodies) == \
         (sample.family_tag, sample.seed, sample.bodies)
@@ -283,6 +288,14 @@ def test_regenerated_family_clamps_axes_to_sqrt_n():
     axes100 = fam.axes_for(100)
     assert np.allclose(axes100, 5.0)  # 5 <= sqrt(100), no clamp
     assert "min(pattern, sqrt(n))" in fam.describe(4)
+
+
+def test_huge_axes_bound_the_variance_by_the_limit_or_by_inf():
+    """Regenerated mode's bound a^2 / (a^2 + 2) tends to 1 as a^2 overflows;
+    a block's a^2 / (block_dim + 2) is then inf, which the variances refuse."""
+    assert EllipsoidIntervalFamily((1e200,)).variance_bound() == 1.0
+    assert EllipsoidIntervalFamily((1e200, 1.0), block_dim=4).variance_bound() == math.inf
+    assert EllipsoidIntervalFamily((2.0,)).variance_bound() == 4.0 / 6.0
 
 
 # -- per-length spec cache ------------------------------------------------------

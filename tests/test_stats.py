@@ -27,7 +27,6 @@ from setlaw import (
     minkowski_sum,
     sample_ellipse_pair,
     scalar_mul,
-    support_covariance_matrix,
     support_function,
     test_interval_endpoint_reduction,
     test_uncorrelated,
@@ -138,13 +137,40 @@ def test_uncorrelated_needs_replications():
         test_uncorrelated(_replications(fam, 3, 2, 1))
 
 
-def test_support_covariance_matrix_diagonal_is_variance():
+def test_index_pair_covariances_are_verdict_rows_and_schedule_rows():
+    """The covariance of indices (k, l) across replications, per direction, is
+    the verdict's row for the pair (either order), and for k = l the
+    empirical schedule's row k, a variance."""
+    from setlaw.stats import _support_tensor
     fam = EllipsoidIntervalFamily((1.0,), block_dim=3)
     reps = _replications(fam, 3, 500, 32)
-    mat = support_covariance_matrix(reps, 1, 1)
-    assert np.all(mat.covariances >= -1e-12)
-    off = support_covariance_matrix(reps, 0, 2)
-    assert off.k == 0 and off.l == 2
+    tensor = _support_tensor(reps, None)[0]
+    centered = tensor - tensor.mean(axis=0)
+
+    def cov(k, l):
+        return (centered[:, k] * centered[:, l]).sum(axis=0) / (len(reps) - 1)
+
+    verdict = test_uncorrelated(reps)
+    for row, (k, l) in zip(verdict.covariance, verdict.pairs.tolist()):
+        assert row.tobytes() == cov(k, l).tobytes() == cov(l, k).tobytes()
+    per_index = VarianceSchedule.empirical(reps).per_index
+    for k in range(3):
+        assert per_index[k].tobytes() == cov(k, k).tobytes()
+    assert np.all(per_index >= 0.0)
+
+
+@pytest.mark.parametrize("family", [
+    EllipsoidIntervalFamily((1e200,), block_dim=4),
+    ScaledTemplateFamily(Interval(-1e200, 1e200)),
+], ids=["ellipsoid-interval", "scaled-interval"])
+def test_overflowing_covariances_are_an_error(family):
+    """Support values whose products overflow fail the uncorrelation test and
+    the empirical schedule, rather than giving a correlation of nan."""
+    reps = _replications(family, 4, 50, 1)
+    with pytest.raises(StatsError, match="overflow"):
+        test_uncorrelated(reps)
+    with pytest.raises(StatsError, match="finite"):
+        VarianceSchedule.empirical(reps)
 
 
 # -- endpoint reduction -----------------------------------------------------------
