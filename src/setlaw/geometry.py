@@ -789,8 +789,12 @@ def hausdorff_distance(a: ConvexBody, b: ConvexBody,
             raise GeometryError("a direction grid is required for dimension >= 2")
     if grid.dim != a.dim:
         raise GeometryError(f"grid dim {grid.dim} does not match body dim {a.dim}")
-    gaps = np.abs(support_values(a, grid.matrix) - support_values(b, grid.matrix))
-    return float(gaps.max())
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or nan is refused below
+        gaps = np.abs(support_values(a, grid.matrix) - support_values(b, grid.matrix))
+    distance = float(gaps.max())
+    if not math.isfinite(distance):
+        raise GeometryError("the Hausdorff distance overflows: the support values are too large")
+    return distance
 
 
 def zero_body(dim: int) -> ConvexBody:

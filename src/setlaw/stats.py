@@ -210,6 +210,8 @@ def _corr_threshold(significance: float, n_tests: int, replications: int) -> flo
     if not 0.0 < significance < 1.0:
         raise StatsError("significance must be in (0, 1)")
     alpha = significance / max(n_tests, 1)
+    if 1.0 - alpha / 2.0 == 1.0:  # inv_cdf refuses p = 1
+        raise StatsError(f"significance {significance!r} is too small for {n_tests} tests")
     z = NormalDist().inv_cdf(1.0 - alpha / 2.0)
     return z / math.sqrt(replications)
 
@@ -298,6 +300,7 @@ class ConditionResult:
     note: str
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a sum that overflows is refused at the end
 def evaluate_variance_condition(schedule: VarianceSchedule, kind: str, *,
                                 bound: float | None = None,
                                 threshold: float = 1e-2,
@@ -311,6 +314,7 @@ def evaluate_variance_condition(schedule: VarianceSchedule, kind: str, *,
     satisfied when the increment over the last ``tail_window`` terms falls
     below ``threshold``.  Finite schedules cannot decide the infinite
     conditions, so the last two are heuristics and say so in the note.
+    A sum that overflows is an error, not a trajectory that ends in inf.
     """
     if tail_window < 1:
         raise StatsError("tail_window must be >= 1")
@@ -321,15 +325,13 @@ def evaluate_variance_condition(schedule: VarianceSchedule, kind: str, *,
         traj = np.max(np.cumsum(per, axis=0) / n[:, None] ** 2, axis=1)
         ok = bool(traj[-1] < threshold)
         note = f"final value {traj[-1]:.6g} vs threshold {threshold:g}"
-        return ConditionResult(ok, traj, kind, note)
-    if kind == "slln_bounded":
-        if bound is None or bound <= 0.0:
-            raise StatsError("slln_bounded needs a positive bound")
+    elif kind == "slln_bounded":
+        if bound is None or not 0.0 < bound < math.inf:
+            raise StatsError(f"slln_bounded needs a positive finite bound, not {bound!r}")
         traj = per.max(axis=1)
         ok = bool(np.all(traj <= bound))
         note = f"max variance {traj.max():.6g} vs bound {bound:g}"
-        return ConditionResult(ok, traj, kind, note)
-    if kind == "slln_log2":
+    elif kind == "slln_log2":
         # log^2(1) = 0 weighs the first term to nothing, so a one-entry
         # schedule has no tail to judge
         if count < 2:
@@ -342,5 +344,8 @@ def evaluate_variance_condition(schedule: VarianceSchedule, kind: str, *,
         ok = bool(increment < threshold)
         note = (f"tail increment {increment:.6g} over last {w} terms vs "
                 f"threshold {threshold:g} (finite-schedule heuristic)")
-        return ConditionResult(ok, traj, kind, note)
-    raise StatsError(f"unknown condition kind {kind!r}")
+    else:
+        raise StatsError(f"unknown condition kind {kind!r}")
+    if not np.isfinite(traj[-1]):  # a sum of nonnegative terms that overflows stays inf
+        raise StatsError("variance sums overflow: the schedule's entries are too large")
+    return ConditionResult(ok, traj, kind, note)

@@ -384,6 +384,16 @@ def test_overflowing_variances_are_one_line_error(command, family, tmp_path, cap
     assert not (tmp_path / "o").exists()
 
 
+def test_strong_law_on_a_huge_body_runs(tmp_path, capsys):
+    """Its variances are 1e308 / 12, but its variance sums stay finite."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("command = slln\nfamily = scaled_iid\nbody = interval -1e154 1e154\n"
+                   "max_n = 100\npaths = 4\n")
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "o"), "--threads", "1"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "" and "paths_passed=0/4" in captured.out, captured
+
+
 def test_regenerated_intervals_clamp_huge_axes(tmp_path, capsys):
     """Regenerated mode clamps each semi-axis to sqrt(n), so a huge one runs as
     any axis above sqrt(max_n) does."""
@@ -399,15 +409,19 @@ def test_regenerated_intervals_clamp_huge_axes(tmp_path, capsys):
     assert outs["1e200"] and outs["1e200"] == outs["1e6"]
 
 
-@pytest.mark.parametrize("family", [
-    "family = ellipsoid_interval\n",
-    "family = scaled_iid\nbody = interval 0 1\n",
-], ids=["ellipsoid-interval", "scaled-interval"])
-def test_tiny_epsilon_gives_an_infinite_bound(family, tmp_path, capsys):
-    """An (epsilon n)^2 that underflows to 0 gives bound inf, as a tiny one
-    above the underflow does, not a ZeroDivisionError."""
+@pytest.mark.parametrize("family,epsilon", [
+    ("family = ellipsoid_interval\n", "1e-300"),
+    ("family = scaled_iid\nbody = interval 0 1\n", "1e-300"),
+    # the sum of 20 variances of 1.1e154^2 / 12 overflows
+    ("family = scaled_iid\nbody = interval -1.1e154 1.1e154\nenforce_condition = false\n",
+     "0.5"),
+], ids=["ellipsoid-interval", "scaled-interval", "huge-scaled-interval"])
+def test_tiny_epsilon_gives_an_infinite_bound(family, epsilon, tmp_path, capsys):
+    """An (epsilon n)^2 that underflows to 0, or a variance sum that overflows,
+    gives bound inf, as a tiny epsilon above the underflow does, not a
+    ZeroDivisionError or a warning."""
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"command = wlln\n{family}n_grid = 10\nepsilon = 1e-300\n"
+    cfg.write_text(f"command = wlln\n{family}n_grid = 10\nepsilon = {epsilon}\n"
                    "replications = 100\n")
     assert main(["--config", str(cfg), "--out", str(tmp_path / "o"), "--threads", "1"]) == 0
     captured = capsys.readouterr()
@@ -481,6 +495,14 @@ _UNREAD = [
     ("slln_bounded-threshold", _BOUNDED + "threshold = 0.5\n", "threshold"),
 ]
 _GRID_1D = "command = sample\nfamily = deterministic\nbody = interval 0 1\nlength = 3\n"
+# 1 - alpha/2 rounds to 1, so the z quantile is no float
+_TINY_SIGNIFICANCE = ("command = test-uncorr\nfamily = ellipsoid_interval\na = 1\n"
+                      "block_dim = 4\nlength = 4\nreplications = 30\nsignificance = 1e-17\n")
+_BOUNDED_BY = "command = check-cond\nkind = slln_bounded\nvariances = 1,1,1\nbound_m = "
+# variances of 1e308 / 12 over n = 100: the weak-law variance sum overflows
+_HUGE_WLLN = ("command = wlln\nfamily = scaled_iid\nbody = interval -1e154 1e154\n"
+              "n_grid = 10,100\nepsilon = 0.5\nreplications = 100\n")
+_HAUSDORFF = "command = hausdorff\nbody_a = {}\nbody_b = {}\n"
 _UNCORR_OVERFLOW = "command = test-uncorr\nlength = 4\nreplications = 50\n"
 
 
@@ -506,12 +528,23 @@ _UNCORR_OVERFLOW = "command = test-uncorr\nlength = 4\nreplications = 50\n"
     # support values whose products overflow: no correlation of nan
     (_UNCORR_OVERFLOW + _HUGE_SCALED, [], "overflow"),
     (_UNCORR_OVERFLOW + _HUGE_BLOCKS, [], "overflow"),
+    (_TINY_SIGNIFICANCE, [], "significance"),
+    (_BOUNDED_BY + "nan\n", [], "bound"),
+    (_BOUNDED_BY + "inf\n", [], "bound"),
+    ("command = check-cond\nkind = wlln_eq4\nvariances = 1e308,1e308\n", [],
+     "variance sums overflow"),
+    (_HUGE_WLLN, [], "variance sums overflow"),
+    (_HAUSDORFF.format("interval -1e308 1e308", "interval 1e308 1e308"), [], "overflows"),
+    (_HAUSDORFF.format("ellipsoid 2 1e308 1e308 1e308 1e308", "box 2 0 0 1 1"), [],
+     "overflows"),
     *((text, [], f"key {key!r}") for _, text, key in _UNREAD),
 ], ids=["threads", "no-equals", "empty-key", "no-command", "grid-scheme-alone",
         "significance", "threshold", "enforce-condition", "kind", "bound-m",
         "no-schedule", "1d-seeded-grid", "1d-exact1d-count", "hausdorff-1d-2d-grid",
         "wlln-replications", "ar1-negative-rho", "uncorr-overflow-scaled",
-        "uncorr-overflow-ellipsoid", *(name for name, _, _ in _UNREAD)])
+        "uncorr-overflow-ellipsoid", "tiny-significance", "bound-m-nan", "bound-m-inf",
+        "wlln_eq4-sums-overflow", "wlln-sums-overflow", "hausdorff-interval-overflow",
+        "hausdorff-ellipsoid-overflow", *(name for name, _, _ in _UNREAD)])
 def test_bad_input_is_one_line_error(text, args, names, tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(text)

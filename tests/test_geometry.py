@@ -266,6 +266,7 @@ def test_hausdorff_1d_examples():
     assert hausdorff_distance(Interval(0, 1), Interval(0, 3)) == 2.0
     assert hausdorff_distance(Interval(-1, 4), Interval(-1, 4)) == 0.0
     assert hausdorff_distance(zero_body(1), Interval(-2, 5)) == 5.0
+    assert hausdorff_distance(Interval(-1e307, 1e307), Interval(1e307, 1e307)) == 2e307
 
 
 def test_hausdorff_1d_takes_only_a_1d_grid():
@@ -293,6 +294,16 @@ def test_hausdorff_needs_grid_in_higher_dim():
     square = Polytope([[0, 0], [1, 0], [1, 1], [0, 1]])
     with pytest.raises(GeometryError, match="grid"):
         hausdorff_distance(square, square)
+
+
+@pytest.mark.parametrize("a,b,grid", [
+    (Interval(-1e308, 1e308), Interval(1e308, 1e308), None),  # the difference overflows
+    (Ellipsoid((1e308, 1e308), (1e308, 1e308)), Box((0, 0), (1, 1)),
+     make_direction_grid(2, 8, "uniform_angles_2d")),  # the ellipsoid's squares overflow
+])
+def test_hausdorff_distance_that_overflows_is_an_error(a, b, grid):
+    with pytest.raises(GeometryError, match="overflows"):
+        hausdorff_distance(a, b, grid)
 
 
 def test_set_norm_examples():

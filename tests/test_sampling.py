@@ -36,7 +36,6 @@ from setlaw.sampling import (
     DeterministicFamily,
     StreamCursor,
     _ellipsoid_block,
-    _restartable,
     _scalar_block,
 )
 
@@ -465,14 +464,6 @@ def test_import_leaves_numpy_random_unloaded():
     assert done.stdout.split() == []
 
 
-def test_restartable_source_restarts_where_the_generator_stood():
-    rng = SeedSpec(8, 3).generator()
-    rng.standard_normal(7)
-    streams = _restartable(rng)
-    first = streams(0).standard_normal(11)
-    assert streams(0).standard_normal(11).tobytes() == first.tobytes()
-
-
 # -- block draws ---------------------------------------------------------------------
 
 def _grid256():
@@ -518,33 +509,21 @@ def test_block_draws_with_a_cursor_equal_seed_spec_draws():
     assert block.tobytes() == loop.tobytes()
 
 
-def _reference_draw_ellipsoid(spec, count, rng):
-    """``_draw_ellipsoid`` as it was before blocks: one stream, one draw."""
-    n = spec.dim
-    z = rng.standard_normal((count, n))
-    norms = np.linalg.norm(z, axis=1, keepdims=True)
-    while np.any(norms == 0.0):
-        bad = norms[:, 0] == 0.0
-        z[bad] = rng.standard_normal((int(bad.sum()), n))
-        norms = np.linalg.norm(z, axis=1, keepdims=True)
-    radii = rng.random(count) ** (1.0 / n)
-    return z / norms * radii[:, None] * spec.axes
-
-
 class _ZeroRowStream:
-    """A Philox stream whose first ``zero_calls`` normal draws come back with
-    an all-zero first row, as a redraw-forcing stand-in for the ~0-probability
-    exact-zero normal vector."""
+    """The Philox stream ``SeedSpec(5, index)``, whose first normal draw comes
+    back with its first vector all ``zero`` (+0.0 or -0.0) when one is given:
+    a stand-in for the exact-zero normal vector, of probability 2^-52 per
+    coordinate."""
 
-    def __init__(self, index, zero_calls):
+    def __init__(self, index, zero=None):
         self._rng = SeedSpec(5, index).generator()
-        self.zero_calls = zero_calls
+        self.zero = zero
         self.normal_calls = 0
 
     def standard_normal(self, size=None, out=None):
         z = self._rng.standard_normal(size, out=out)
-        if self.normal_calls < self.zero_calls:
-            z[0] = 0.0
+        if self.zero is not None and not self.normal_calls:
+            z[0] = self.zero
         self.normal_calls += 1
         return z
 
@@ -552,22 +531,58 @@ class _ZeroRowStream:
         return self._rng.random(size, out=out)
 
 
-@pytest.mark.parametrize("zero_calls", [1, 2])
+@pytest.mark.parametrize("zero", [0.0, -0.0])
 @pytest.mark.parametrize("axes", [(1.0,), (1.0, 2.0, 0.5)])
-def test_zero_norm_rows_are_redrawn_as_before(zero_calls, axes):
+def test_zero_norm_vectors_take_the_signs_of_their_zeros(zero, axes):
     spec = EllipsoidFamilySpec(axes)
-    made = []
+    d = spec.dim
+    # row 1 starts with an all-zero normal vector; rows 0 and 2 are plain streams
+    got = _ellipsoid_block(spec, 4, lambda i: _ZeroRowStream(i, zero if i == 1 else None), 3)
+    plain = _ellipsoid_block(spec, 4, lambda i: SeedSpec(5, i).generator(), 3)
+    rng = SeedSpec(5, 1).generator()
+    rng.standard_normal((4, d))
+    u = rng.random(4)[0]
+    want = np.copysign(1.0 / math.sqrt(d), zero) * u ** (1.0 / d) * spec.axes
+    assert got[1, 0].tobytes() == want.tobytes()
+    assert np.all(np.signbit(got[1, 0]) == np.signbit(zero))
+    others = np.ones(got.shape[:2], bool)
+    others[1, 0] = False
+    assert got[others].tobytes() == plain[others].tobytes()
 
-    def streams(i):  # row 1 forces the redraw; rows 0 and 2 are plain streams
-        made.append(_ZeroRowStream(i, zero_calls if i == 1 else 0))
-        return made[-1]
 
-    got = _ellipsoid_block(spec, 4, streams, 3)
-    assert made[-1].normal_calls == 1 + zero_calls  # row 1 replayed: z, then redraws
-    for i in range(3):
-        want = _reference_draw_ellipsoid(spec, 4, _ZeroRowStream(i, zero_calls if i == 1 else 0))
-        assert got[i].tobytes() == want.tobytes()
-    assert np.all(np.isfinite(got))
+class _OnceStreams:
+    """A block's stream source that fails when a row is asked for twice; row
+    ``zero_row`` starts with an all-zero normal vector."""
+
+    def __init__(self, zero_row):
+        self.zero_row = zero_row
+        self.asked = []
+
+    def __call__(self, i):
+        assert i not in self.asked, f"row {i} asked for twice"
+        self.asked.append(i)
+        return _ZeroRowStream(i, 0.0 if i == self.zero_row else None)
+
+
+@pytest.mark.parametrize("name", sorted(_BLOCK_FAMILIES))
+@pytest.mark.parametrize("size", [1, 3])
+def test_block_draws_read_each_stream_once(name, size):
+    fam = _BLOCK_FAMILIES[name]
+    streams = _OnceStreams(size - 1)
+    block = fam.support_block(9, streams, size)
+    # a deterministic family reads no stream
+    assert streams.asked == ([] if isinstance(fam, DeterministicFamily) else list(range(size)))
+    assert np.all(np.isfinite(block))
+
+
+@pytest.mark.parametrize("name", sorted(_BLOCK_FAMILIES))
+def test_support_draws_read_their_generator_once(name):
+    fam = _BLOCK_FAMILIES[name]
+    rng = _ZeroRowStream(0, 0.0)  # no bit generator state to rewind
+    got = fam.support_draws(9, rng)
+    assert rng.normal_calls == (1 if isinstance(fam, EllipsoidIntervalFamily) else 0)
+    want = fam.support_block(9, _OnceStreams(0), 1)[:, 0]
+    assert got.tobytes() == want.tobytes()
 
 
 # -- family samples carry their support table -----------------------------------------
@@ -596,7 +611,8 @@ def test_family_sample_carries_its_support_block_draw(name):
     fam = _SAMPLE_FAMILIES[name]
     seed = SeedSpec(23, 4)
     sample = fam.sample(9, seed)
-    want = fam.support_block(9, _restartable(seed.generator()), 1)[:, 0]
+    gen = seed.generator()
+    want = fam.support_block(9, lambda _row: gen, 1)[:, 0]
     got = sample.supports(fam.grid)
     assert (len(sample), sample.dim) == (9, fam.dim)
     assert got.shape == want.shape and got.tobytes() == want.tobytes()

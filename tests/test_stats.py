@@ -315,8 +315,17 @@ def test_bounded_condition():
     schedule = VarianceSchedule(EXACT_1D, np.full(100, 0.25))
     assert evaluate_variance_condition(schedule, "slln_bounded", bound=0.25).satisfied
     assert not evaluate_variance_condition(schedule, "slln_bounded", bound=0.2).satisfied
-    with pytest.raises(StatsError):
-        evaluate_variance_condition(schedule, "slln_bounded")
+    for bound in (None, math.nan, math.inf, 0.0, -1.0):
+        with pytest.raises(StatsError, match="positive finite bound"):
+            evaluate_variance_condition(schedule, "slln_bounded", bound=bound)
+
+
+@pytest.mark.parametrize("kind,count", [("wlln_eq4", 2), ("slln_log2", 1000)])
+def test_variance_sums_that_overflow_are_an_error(kind, count):
+    # the weights log^2(k) / k^2 sum to 1.93 over k <= 1000, so 1e308 overflows there
+    schedule = VarianceSchedule(EXACT_1D, np.full(count, 1e308))
+    with pytest.raises(StatsError, match="variance sums overflow"):
+        evaluate_variance_condition(schedule, kind)
 
 
 def test_log2_condition_convergent_vs_divergent():
@@ -401,9 +410,8 @@ def _reference_tensor(reps, grid, support):
 
 def _drawn_tensor(family, length, reps, master):
     """(R, L, m) rows of ``support_block`` on the streams ``_replications`` uses."""
-    from setlaw.sampling import _restartable
-    return np.stack([family.support_block(length, _restartable(SeedSpec(master, r).generator()),
-                                          1)[:, 0] for r in range(reps)])
+    gens = [SeedSpec(master, r).generator() for r in range(reps)]
+    return np.stack([family.support_block(length, lambda _row: gen, 1)[:, 0] for gen in gens])
 
 
 def test_support_tensor_matches_scalar_triple_loop():
@@ -447,6 +455,16 @@ def test_support_tensor_matches_scalar_triple_loop():
              for _ in range(5)]
     tensor, _ = _support_tensor(mixed, grid)
     assert tensor.tobytes() == _reference_tensor(mixed, grid, support_function).tobytes()
+
+
+def test_threshold_whose_quantile_rounds_to_one_is_an_error():
+    from setlaw.stats import _corr_threshold
+    want = NormalDist().inv_cdf(1.0 - 0.05 / 12 / 2.0) / math.sqrt(30)
+    assert _corr_threshold(0.05, 12, 30) == want
+    assert math.isfinite(_corr_threshold(2e-16, 1, 30))
+    for significance in (1e-17, 5e-324):
+        with pytest.raises(StatsError, match="significance"):
+            _corr_threshold(significance, 12, 30)
 
 
 def _reference_cells(tensor, significance):
