@@ -29,6 +29,10 @@ DUPLICATE_TOL = 1e-9    # minimum chordal separation between grid directions
 SUBLINEAR_TOL = 1e-9    # slack for support-value consistency checks, per unit of value
 
 _DEFAULT_GRID_COUNT = 256
+# The most directions a grid may have: 8 times the finest grid any shipped
+# config, test or benchmark builds (8192), and checked before a grid
+# allocates, so that a huge ``grid_count`` is one error, not a failed allocation.
+_MAX_GRID_COUNT = 1 << 16
 
 # Element count of one block of a blocked array computation: 32768
 # float64 values (256 KiB) stay in cache, and no temporary grows with
@@ -297,12 +301,15 @@ def make_direction_grid(dim: int, count: int, scheme: str, seed: int = 0) -> Dir
     ``seeded_random`` (dim >= 2, normalized Gaussian directions plus
     antipodes, deterministic in ``seed``).  For antipodal schemes ``count``
     must be even: count/2 directions are generated and their exact
-    negations appended.  ``seed`` must be >= 0 for every scheme.
+    negations appended.  ``count`` is at most 65536, and ``seed`` must be
+    >= 0 for every scheme.
     """
     if dim < 1:
         raise GeometryError("dim must be >= 1")
     if count < 2:
         raise GeometryError("count must be >= 2")
+    if count > _MAX_GRID_COUNT:
+        raise GeometryError(f"count must be <= {_MAX_GRID_COUNT}, not {count}")
     if seed < 0:
         raise GeometryError(f"grid seed must be >= 0, not {seed}")
     if scheme == "exact1d":

@@ -9,6 +9,15 @@ the cumulative gap S_n, recording S_n/n at checkpoints plus the square
 subsequence S_{m^2}/m^2 and between-square fluctuation maxima that the
 almost-sure argument rests on.
 
+Every family is V_k = s_k T, so h(V_k, u) = s_k h_T(u), and with
+mu_k = E s_k the strong law's gap on the family grid is one scalar sum
+per path:
+
+    S_n = max_u |sum_{k<=n} (s_k - mu_k) h_T(u)|
+        = |sum_{k<=n} (s_k - mu_k)| * max_u |h_T(u)|.
+
+So a path costs O(max_n) floats, whatever the grid size.
+
 Replications and paths are the unit of parallelism: each derives its own
 counter-based stream from (master_seed, index), and aggregation runs in a
 fixed order, so outputs are byte-identical at any worker count.
@@ -139,9 +148,12 @@ def _map_chunks(func, args_list, threads: int):
     # imported here, so that commands that never start a pool skip about 16 ms
     from concurrent.futures import ProcessPoolExecutor
     from multiprocessing import get_context
+    # about four tasks per worker: each task is one round trip through the
+    # pool's queues, and a few per worker still even out their finishing times
+    chunksize = -(-len(args_list) // (4 * workers))
     with ProcessPoolExecutor(max_workers=workers,
                              mp_context=get_context("fork")) as pool:
-        return list(pool.map(func, args_list))
+        return list(pool.map(func, args_list, chunksize=chunksize))
 
 
 # -- weak law ---------------------------------------------------------------
@@ -273,14 +285,15 @@ def _interblock_maxima(s: np.ndarray, sq: np.ndarray) -> np.ndarray:
 def _slln_chunk(args):
     family, max_n, master_seed, lo, hi, checkpoints, squares, threshold, window = args
     cps = np.asarray(checkpoints)
-    target = np.ascontiguousarray(family.mean_supports(max_n).T)
-    gap = np.empty_like(target)  # direction-major, so cumsum and max run along rows
-    s = np.empty((hi - lo, max_n))  # s[i, k-1] is path i's cumulative gap at length k
     cursor = StreamCursor(master_seed)
-    for i, p in enumerate(range(lo, hi)):
-        np.subtract(family.support_draws(max_n, cursor.at(p)).T, target, out=gap)
-        np.cumsum(gap, axis=1, out=gap)
-        np.abs(gap, out=gap).max(axis=0, out=s[i])
+    # path p reads stream p.  By the scale identity of the module docstring,
+    # S_k = |sum_{j<=k} (s_j - mu_j)| times the grid norm max_u |h_T(u)|; the
+    # interval family's row is (1, 0), so its S_k is the scale sum itself
+    s = family._scales(max_n, lambda i: cursor.at(lo + i), hi - lo)
+    np.subtract(s, family._mean_scales(max_n), out=s)
+    np.cumsum(s, axis=1, out=s)
+    np.abs(s, out=s)
+    s *= np.abs(family._row).max()  # s[i, k-1] is path i's cumulative gap at length k
     # np.take keeps the columns row-major, as s[:, idx] would not: the
     # report's column means are summed in memory order, so layout shows in bits
     s_over = np.take(s, cps - 1, axis=1) / cps

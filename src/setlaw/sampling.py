@@ -238,7 +238,11 @@ def _ellipsoid_block(spec: EllipsoidFamilySpec, count: int, streams: Streams,
         zero = norms[..., 0] == 0.0
         z[zero] = np.copysign(1.0 / math.sqrt(n), z[zero])
         norms[zero] = 1.0
-    return z / norms * (u ** (1.0 / n))[..., None] * spec.axes
+    # in place, in the order of z / norms * u**(1/n) * axes, which fixes the bits
+    z /= norms
+    z *= (u ** (1.0 / n))[..., None]
+    z *= spec.axes
+    return z
 
 
 def _shifted_block(spec: EllipsoidFamilySpec, count: int, streams: Streams,

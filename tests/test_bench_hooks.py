@@ -89,17 +89,14 @@ def _traced_cli_run(config: str, tmp_path: Path) -> list:
     return data["spans"]
 
 
-def test_traced_slln_run_records_one_draw_per_path(tmp_path):
+def test_traced_slln_run_records_one_chunk_map(tmp_path):
+    # the strong law draws each chunk's scales at once, so no per-path
+    # ``sampling.draw`` span remains; the chunk map carries the paths
     spans = _traced_cli_run("command = slln\nseed = 3\nfamily = ellipsoid_interval\na = 1\n"
                             "block_dim = 4\nmax_n = 100\npaths = 16\n", tmp_path)
-    draws = [span for span in spans if span[0] == "sampling.draw"]
-    assert len(draws) == 16
-
-    def ancestors(span):
-        while span[3] >= 0:
-            span = spans[span[3]]
-            yield span[0]
-    assert all("harness.run_slln" in ancestors(span) for span in draws)
+    chunks = [span for span in spans if span[0] == "harness.chunks"]
+    assert [span[4] for span in chunks] == [{"n": 100, "items": 16}]
+    assert spans[chunks[0][3]][0] == "harness.run_slln"
 
 
 def test_traced_wlln_run_records_one_chunk_map_per_n(tmp_path):

@@ -292,6 +292,22 @@ def test_threads_flag_and_env_do_not_change_bytes(tmp_path):
     assert all(_dir_bytes(out) == first for out in outs[1:])
 
 
+@pytest.mark.parametrize("text", [
+    # 25 strong-law chunks of 8 paths, and 10 weak-law chunks of 256 replications per n:
+    # at 2 workers the pool sends them in batches of 4 and of 2
+    SLLN_TEXT.replace("paths = 6", "paths = 200").replace("max_n = 400", "max_n = 100"),
+    WLLN_TEXT.replace("replications = 150", "replications = 2560").replace("10,50", "5,20"),
+], ids=["slln", "wlln"])
+def test_batched_pool_tasks_do_not_change_bytes(text, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    outs = [tmp_path / f"t{threads}" for threads in (1, 2)]
+    for threads, out in zip((1, 2), outs):
+        assert main(["--config", str(cfg), "--out", str(out),
+                     "--threads", str(threads)]) == EXIT_OK
+    assert _dir_bytes(outs[0]) == _dir_bytes(outs[1])
+
+
 def test_no_hidden_state_between_invocations(tmp_path):
     # two dispatches in one process must equal two separate-process runs
     cfg_text = WLLN_TEXT
@@ -381,6 +397,24 @@ def test_overflowing_variances_are_one_line_error(command, family, tmp_path, cap
     cfg.write_text(command + family)
     assert main(["--config", str(cfg), "--out", str(tmp_path / "o"), "--threads", "1"]) == 1
     assert capsys.readouterr().err.splitlines() == ["setlaw: variance entries must be finite"]
+    assert not (tmp_path / "o").exists()
+
+
+def test_huge_grid_count_is_one_line_error_before_it_allocates(tmp_path):
+    # a child limited to 1 GiB of address space: the grid must be refused before
+    # its arrays (7.28 TiB for these directions) are asked for
+    import resource
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("command = hausdorff\nbody_a = box 2 0 0 1 1\nbody_b = box 2 0 0 2 2\n"
+                   "grid_scheme = seeded_random\ngrid_count = 1000000000000\n")
+    result = subprocess.run([sys.executable, "-m", "setlaw", "--config", str(cfg),
+                             "--out", str(tmp_path / "o")],
+                            capture_output=True, text=True, preexec_fn=limit)
+    assert "1000000000000" in _one_error_line(result)
     assert not (tmp_path / "o").exists()
 
 

@@ -270,12 +270,12 @@ def test_slln_on_two_dimensional_family():
 
 
 def test_pool_size_is_clamped_to_chunks_and_cpus(monkeypatch):
-    # a stand-in executor records the requested size and starts no process
+    # a stand-in executor records the requested size and batch, and starts no process
     requested = []
 
     class RecordingPool:
         def __init__(self, max_workers, mp_context):
-            requested.append(max_workers)
+            self.workers = max_workers
 
         def __enter__(self):
             return self
@@ -283,7 +283,8 @@ def test_pool_size_is_clamped_to_chunks_and_cpus(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, func, args_list):
+        def map(self, func, args_list, chunksize):
+            requested.append((self.workers, chunksize))
             return map(func, args_list)
 
     # _map_chunks imports the executor only when it starts a pool
@@ -291,12 +292,15 @@ def test_pool_size_is_clamped_to_chunks_and_cpus(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     assert harness._map_chunks(abs, [-1, -2, -3], 64) == [1, 2, 3]
     assert harness._map_chunks(abs, list(range(-10, 0)), 64) == list(range(10, 0, -1))
-    assert requested == [3, 4]
+    # about four tasks per worker: 125 chunks (slln-block) go as 8 tasks of 16 on 2 workers
+    assert harness._map_chunks(abs, list(range(-125, 0)), 2) == list(range(125, 0, -1))
+    assert harness._map_chunks(abs, list(range(-17, 0)), 64) == list(range(17, 0, -1))
+    assert requested == [(3, 1), (4, 1), (2, 16), (4, 2)]
     # one chunk or one CPU runs in-process without a pool
     assert harness._map_chunks(abs, [-5], 64) == [5]
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert harness._map_chunks(abs, [-1, -2], 64) == [1, 2]
-    assert requested == [3, 4]
+    assert len(requested) == 4
 
 
 # -- strong-law chunk against the pre-vectorization loop -----------------------
@@ -346,26 +350,42 @@ def _chunk_args(family, max_n, window, checkpoints=None, threshold=0.05):
 
 
 def _assert_same_chunk(args):
+    """The chunk against the reference loop.  Bit for bit on the interval
+    family, whose row is (1, 0), and on a deterministic one, whose gaps are 0.
+    On a scaled family the chunk multiplies one cumulative scale sum by the
+    grid norm, where the loop sums s_k h_T(u) - mu_k h_T(u) per direction, so
+    the values may differ by a few rounding steps: at most 8 ulps of the
+    largest value, and no verdict moves."""
     new, old = harness._slln_chunk(args), _reference_slln_chunk(args)
     assert len(new) == len(old)
     for a, b in zip(new, old):  # s_over, interblock (NaN included), pass
         # strides too: reductions over a column-major copy round differently
         assert a.dtype == b.dtype and a.shape == b.shape and a.strides == b.strides
-        assert a.tobytes() == b.tobytes()
+        if not isinstance(args[0], ScaledTemplateFamily) or a.dtype == bool:
+            assert a.tobytes() == b.tobytes()
+        else:
+            assert np.array_equal(np.isnan(a), np.isnan(b))
+            if not np.isnan(b).all():
+                ulp = np.spacing(np.nanmax(np.abs(b)))
+                assert np.nanmax(np.abs(a - b)) <= 8 * ulp
 
 
-def _box_family_256():
+def _box_family_256(process="iid_uniform", **kwargs):
     from setlaw import Box, make_direction_grid
     grid = make_direction_grid(2, 256, "uniform_angles_2d")
-    return ScaledTemplateFamily(Box((-0.5, 0.0), (1.0, 2.0)), "iid_uniform",
-                                direction_grid=grid)
+    return ScaledTemplateFamily(Box((-0.5, 0.0), (1.0, 2.0)), process,
+                                direction_grid=grid, **kwargs)
+
+
+_BOXES = [_box_family_256(), _box_family_256("ar1", rho=0.9), _box_family_256(growth=0.3)]
+_BOX_IDS = ["box2d-256", "box2d-256-ar1", "box2d-256-growth"]
 
 
 @pytest.mark.parametrize("family", [
     EllipsoidIntervalFamily((1.0, 2.0), block_dim=16),
     DeterministicFamily(Interval(0, 2)),
-    _box_family_256(),
-], ids=["ellipsoid-interval", "deterministic", "box2d-256"])
+    *_BOXES,
+], ids=["ellipsoid-interval", "deterministic", *_BOX_IDS])
 @pytest.mark.parametrize("max_n", [4, 5, 10, 99, 400, 2500])
 def test_slln_chunk_matches_reference_loop(family, max_n):
     n_checkpoints = len(SllnConfig(family, max_n, 1, SEED, median_window=1).checkpoints)
@@ -377,12 +397,46 @@ def test_slln_chunk_matches_reference_loop(family, max_n):
 
 @pytest.mark.parametrize("family", [
     EllipsoidIntervalFamily((1.0,), block_dim=4),
-    _box_family_256(),
-], ids=["ellipsoid-interval", "box2d-256"])
+    *_BOXES,
+], ids=["ellipsoid-interval", *_BOX_IDS])
 def test_slln_chunk_matches_reference_loop_on_explicit_checkpoints(family):
     cps = (1, 2, 3, 4, 7, 9, 16, 20, 25, 33, 36, 49, 50)
     for window in (1, 4, 5, 30):
         _assert_same_chunk(_chunk_args(family, 50, window, cps, threshold=10.0))
+
+
+@pytest.mark.parametrize("family", [
+    EllipsoidIntervalFamily((1.0,), block_dim=4),
+    DeterministicFamily(Interval(0, 2)),
+    _box_family_256("ar1", rho=0.5),
+], ids=["ellipsoid-interval", "deterministic", "box2d-256-ar1"])
+def test_slln_draws_no_support_table(family, monkeypatch):
+    # the strong law reads a family's scales; its support tables are the weak law's
+    def refuse(*args, **kwargs):
+        raise AssertionError("the strong law drew a support table")
+
+    for attr in ("support_draws", "support_block"):
+        monkeypatch.setattr(type(family), attr, refuse)
+    report = run_slln(SllnConfig(family, 100, 9, SeedSpec(6)))
+    assert report.detail["s_over_n"].shape == (9, 10)
+
+
+def test_slln_chunk_memory_does_not_grow_with_the_grid():
+    # one 8-path chunk to 2 * 10^4 on 256 directions: a (max_n, m) support
+    # table alone would be 39 MiB, and the scale path holds a few (8, max_n) arrays
+    import tracemalloc
+    max_n = 20_000
+    family = _box_family_256()
+    checkpoints = SllnConfig(family, max_n, 1, SEED, median_window=1).checkpoints
+    args = (family, max_n, 31, 0, 8, checkpoints, tuple(range(1, math.isqrt(max_n) + 1)),
+            0.05, 5)
+    tracemalloc.start()
+    try:
+        harness._slln_chunk(args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
 
 
 def test_slln_chunk_passes_and_fails_paths_like_the_reference():
