@@ -19,7 +19,10 @@ stream, once, front to back, and the transform to supports runs once for
 the whole block.  The one degenerate draw, an all-zero normal vector in
 the ellipsoid draw, takes the signs of its zeros instead of reading more.
 A family's ``sample`` is one such draw: it holds its family and its
-scales, and builds body objects only when they are read.  The grid rule,
+scales, and builds body objects only when they are read.  It reads its
+stream through a ``StreamCursor``, one per thread and master seed, which
+puts one reused Philox generator at the start of any stream instead of
+building a new one per call.  The grid rule,
 the support row and ``describe``, the family's one label, live in the
 family base ``_ScaledBody``.
 """
@@ -29,6 +32,7 @@ from __future__ import annotations
 import ast
 import math
 import re
+import threading
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable
@@ -84,23 +88,50 @@ class StreamCursor:
     (key words ``[index, master_seed]``, counter zero, empty buffers) by
     writing the state of one reused bit generator, which costs a fraction
     of building a new ``Philox`` (that also reads OS entropy).  Every call
-    restarts and returns the same generator object.
+    restarts and returns the same generator object.  The state words are
+    Python ints: the state setter reads each word by index, and an int
+    reads in about half the time of a ``uint64`` array element.
     """
 
     def __init__(self, master_seed: int):
         SeedSpec(master_seed)  # the same range check
         self._bits = np.random.Philox(0)
         self._generator = np.random.Generator(self._bits)
+        self._key = [0, master_seed]
         self._state = {"bit_generator": "Philox",
-                       "state": {"counter": np.zeros(4, np.uint64),
-                                 "key": np.array([0, master_seed], np.uint64)},
-                       "buffer": np.zeros(4, np.uint64), "buffer_pos": 4,
+                       "state": {"counter": [0, 0, 0, 0], "key": self._key},
+                       "buffer": [0, 0, 0, 0], "buffer_pos": 4,
                        "has_uint32": 0, "uinteger": 0}
 
     def at(self, index: int) -> np.random.Generator:
-        self._state["state"]["key"][0] = index  # the setter copies the words
+        self._key[0] = index  # the setter copies the words
         self._bits.state = self._state
         return self._generator
+
+
+class _ThreadCursors(threading.local):
+    """Each thread's cursors, by master seed: a generator is not safe to share
+    between threads.  A thread that moves through many master seeds starts
+    over after ``_MAX_CURSORS`` of them, so the cursors kept stay few."""
+
+    def __init__(self):
+        self.by_master: dict[int, StreamCursor] = {}
+
+
+_cursors = _ThreadCursors()
+_MAX_CURSORS = 8
+
+
+def _stream(seed: SeedSpec) -> np.random.Generator:
+    """The generator of ``seed.generator()``, from this thread's cursor for
+    ``seed.master_seed``, which is built on first use."""
+    cursors = _cursors.by_master
+    cursor = cursors.get(seed.master_seed)
+    if cursor is None:
+        if len(cursors) >= _MAX_CURSORS:
+            cursors.clear()
+        cursor = cursors[seed.master_seed] = StreamCursor(seed.master_seed)
+    return cursor.at(seed.stream_index)
 
 
 # A block's stream source: streams(i) is row i's generator at the start of
@@ -387,10 +418,12 @@ class _ScaledBody:
 
     def sample(self, count: int, seed: SeedSpec) -> SetSample:
         """``count`` bodies drawn from stream ``seed``: the scales of the draw
-        ``support_block`` makes, with the bodies built when first read."""
+        ``support_block`` makes, with the bodies built when first read.  The
+        stream is read through this thread's cursor, so a loop of samples
+        builds no generator per call."""
         if count < 1:
             raise FamilyError(f"sequence length must be >= 1, got {count}")
-        return SetSample._drawn(self, self._scales(count, lambda _row: seed.generator(), 1)[0],
+        return SetSample._drawn(self, self._scales(count, lambda _row: _stream(seed), 1)[0],
                                 seed)
 
     def _bodies(self, scales: np.ndarray) -> tuple[ConvexBody, ...]:

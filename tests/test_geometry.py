@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -24,6 +27,7 @@ from setlaw import (
     support_function,
     zero_body,
 )
+from setlaw.geometry import _unique_rows
 
 import oracles
 
@@ -160,6 +164,45 @@ def test_3d_sum_prune_keeps_every_support_value(case, seed):
     grid = make_direction_grid(3, 256, "fibonacci_3d")
     assert len(folded.vertices) <= len(raw)
     assert np.array_equal(embed(folded, grid).values, embed(Polytope(raw), grid).values)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_unique_rows_equal_numpy_unique_down_to_signed_zeros(d):
+    rng = np.random.default_rng([d, 22])
+    for _ in range(200):
+        n = int(rng.integers(1, 60))
+        points = rng.integers(-2, 3, size=(n, d)).astype(float)
+        points[rng.random((n, d)) < 0.5] *= -1.0  # many -0.0 beside +0.0
+        before = points.copy()
+        got, want = _unique_rows(points), np.unique(points, axis=0)
+        assert got.shape == want.shape and np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+        assert points.tobytes() == before.tobytes()
+
+
+def test_polytope_sums_leave_numpy_ma_unloaded(tmp_path):
+    # np.unique asks np.ma.is_masked, which imports numpy.ma (10-16 ms and
+    # 1.1 MiB) on a process's first polytope sum
+    cfg = tmp_path / "gap.cfg"
+    cfg.write_text("command = hausdorff\nbody_a = polytope 2 3 0 0 1 0 0 1\n"
+                   "body_b = ellipsoid 2 0 0 1 2\n")
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from setlaw import Polytope, minkowski_sum\n"
+        "from setlaw.cli import main\n"
+        "rng = np.random.default_rng(5)\n"
+        "minkowski_sum(Polytope(rng.normal(size=(12, 2))), Polytope(rng.normal(size=(9, 2))))\n"
+        "folded = Polytope(rng.normal(size=(6, 3)))\n"
+        "for _ in range(4):\n"
+        "    folded = minkowski_sum(folded, Polytope(rng.normal(size=(6, 3))))\n"
+        f"code = main(['--config', {str(cfg)!r}, '--out', {str(tmp_path / 'out')!r}])\n"
+        "print(code, 'numpy.ma' in sys.modules)\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    done = subprocess.run([sys.executable, "-c", code], env=env, timeout=60,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split()[-2:] == ["0", "False"]
 
 
 @pytest.mark.parametrize("case,seed", FOLD_CASES)

@@ -3,6 +3,7 @@ import os
 import pickle
 import subprocess
 import sys
+import threading
 import warnings
 
 import numpy as np
@@ -31,6 +32,7 @@ from setlaw import (
     write_set_sample,
     Direction,
 )
+from setlaw import sampling
 from setlaw.harness import _STREAM_SHIFT, _wlln_chunk
 from setlaw.sampling import (
     DeterministicFamily,
@@ -618,6 +620,78 @@ def test_family_sample_carries_its_support_block_draw(name):
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
+def _sample_table(fam, count, seed):
+    return fam.sample(count, seed).supports(fam.grid).tobytes()
+
+
+def _seed_spec_table(fam, count, seed):
+    gen = seed.generator()
+    return fam.support_block(count, lambda _row: gen, 1)[:, 0].tobytes()
+
+
+def test_family_sample_in_threads_draws_each_seed_spec_stream():
+    # each thread reads through its own cursors; masters and indices interleave
+    # so that every call moves a cursor, and the short switch interval makes
+    # the threads trade places inside draws
+    fams = [_SAMPLE_FAMILIES["ellipsoid-regen"], _SAMPLE_FAMILIES["ar1-growth-box2d"]]
+    jobs = [(f, SeedSpec(master, index)) for index in range(40)
+            for master in (3, _U64_MAX) for f in range(len(fams))]
+    results, errors = {}, []
+
+    def work(k):
+        try:
+            for f, seed in (jobs if k % 2 else jobs[::-1]):
+                results[k, f, seed] = _sample_table(fams[f], 11, seed)
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not errors and not any(t.is_alive() for t in threads)
+    assert len(results) == 4 * len(jobs)
+    for (_k, f, seed), got in results.items():
+        assert got == _seed_spec_table(fams[f], 11, seed)
+
+
+def test_family_sample_loop_builds_one_generator_per_thread_and_master(monkeypatch):
+    built = []
+    original = np.random.Philox
+    monkeypatch.setattr(np.random, "Philox", lambda *a, **k: built.append(a) or original(*a, **k))
+    fam = _SAMPLE_FAMILIES["iid_uniform-growth-box2d"]
+    # a new thread, so that no cursor from an earlier test is reused
+    thread = threading.Thread(target=lambda: [fam.sample(5, SeedSpec(8, i)) for i in range(100)])
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    assert len(built) <= 1
+
+
+def test_a_thread_keeps_few_cursors_however_many_master_seeds_it_samples():
+    fam = _SAMPLE_FAMILIES["ellipsoid-block4"]
+    seeds = [SeedSpec(master, 2) for master in range(3 * sampling._MAX_CURSORS)] * 2
+    kept, tables = [], []
+
+    def work():
+        for seed in seeds:
+            tables.append(_sample_table(fam, 6, seed))
+            kept.append(len(sampling._cursors.by_master))
+
+    thread = threading.Thread(target=work)
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    assert max(kept) <= sampling._MAX_CURSORS
+    assert tables == [_seed_spec_table(fam, 6, seed) for seed in seeds]
+
+
 def _reference_bodies(fam, count, seed):
     """The bodies of a family's draw on stream ``seed``, built from the raw draws."""
     if isinstance(fam, EllipsoidIntervalFamily):
@@ -634,7 +708,6 @@ def _reference_bodies(fam, count, seed):
 
 @pytest.mark.parametrize("name", sorted(_SAMPLE_FAMILIES))
 def test_family_bodies_are_built_when_read_as_scales_times_the_body(name, monkeypatch):
-    from setlaw import sampling
     fam = _SAMPLE_FAMILIES[name]
     seed = SeedSpec(23, 5)
     built = []
