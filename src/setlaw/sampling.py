@@ -20,8 +20,8 @@ the whole block.  The one degenerate draw, an all-zero normal vector in
 the ellipsoid draw, takes the signs of its zeros instead of reading more.
 A family's ``sample`` is one such draw: it holds its family and its
 scales, and builds body objects only when they are read.  It reads its
-stream through a ``StreamCursor``, one per thread and master seed, which
-puts one reused Philox generator at the start of any stream instead of
+stream through a ``StreamCursor``, one per thread, which puts one reused
+Philox generator at the start of any stream of a master seed instead of
 building a new one per call.  The grid rule,
 the support row and ``describe``, the family's one label, live in the
 family base ``_ScaledBody``.
@@ -97,6 +97,7 @@ class StreamCursor:
         SeedSpec(master_seed)  # the same range check
         self._bits = np.random.Philox(0)
         self._generator = np.random.Generator(self._bits)
+        self.master_seed = master_seed
         self._key = [0, master_seed]
         self._state = {"bit_generator": "Philox",
                        "state": {"counter": [0, 0, 0, 0], "key": self._key},
@@ -109,28 +110,16 @@ class StreamCursor:
         return self._generator
 
 
-class _ThreadCursors(threading.local):
-    """Each thread's cursors, by master seed: a generator is not safe to share
-    between threads.  A thread that moves through many master seeds starts
-    over after ``_MAX_CURSORS`` of them, so the cursors kept stay few."""
-
-    def __init__(self):
-        self.by_master: dict[int, StreamCursor] = {}
-
-
-_cursors = _ThreadCursors()
-_MAX_CURSORS = 8
+# This thread's cursor: a generator is not safe to share between threads.
+_thread = threading.local()
 
 
 def _stream(seed: SeedSpec) -> np.random.Generator:
-    """The generator of ``seed.generator()``, from this thread's cursor for
-    ``seed.master_seed``, which is built on first use."""
-    cursors = _cursors.by_master
-    cursor = cursors.get(seed.master_seed)
-    if cursor is None:
-        if len(cursors) >= _MAX_CURSORS:
-            cursors.clear()
-        cursor = cursors[seed.master_seed] = StreamCursor(seed.master_seed)
+    """The generator of ``seed.generator()``, from this thread's cursor, which
+    is built on first use and again when the master seed changes."""
+    cursor = getattr(_thread, "cursor", None)
+    if cursor is None or cursor.master_seed != seed.master_seed:
+        cursor = _thread.cursor = StreamCursor(seed.master_seed)
     return cursor.at(seed.stream_index)
 
 

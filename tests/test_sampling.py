@@ -630,9 +630,9 @@ def _seed_spec_table(fam, count, seed):
 
 
 def test_family_sample_in_threads_draws_each_seed_spec_stream():
-    # each thread reads through its own cursors; masters and indices interleave
-    # so that every call moves a cursor, and the short switch interval makes
-    # the threads trade places inside draws
+    # each thread reads through its own cursor; masters and indices interleave
+    # so that every call moves or rebuilds it, and the short switch interval
+    # makes the threads trade places inside draws
     fams = [_SAMPLE_FAMILIES["ellipsoid-regen"], _SAMPLE_FAMILIES["ar1-growth-box2d"]]
     jobs = [(f, SeedSpec(master, index)) for index in range(40)
             for master in (3, _U64_MAX) for f in range(len(fams))]
@@ -661,7 +661,7 @@ def test_family_sample_in_threads_draws_each_seed_spec_stream():
         assert got == _seed_spec_table(fams[f], 11, seed)
 
 
-def test_family_sample_loop_builds_one_generator_per_thread_and_master(monkeypatch):
+def test_family_sample_loop_builds_one_generator_per_thread(monkeypatch):
     built = []
     original = np.random.Philox
     monkeypatch.setattr(np.random, "Philox", lambda *a, **k: built.append(a) or original(*a, **k))
@@ -674,21 +674,16 @@ def test_family_sample_loop_builds_one_generator_per_thread_and_master(monkeypat
     assert len(built) <= 1
 
 
-def test_a_thread_keeps_few_cursors_however_many_master_seeds_it_samples():
+def test_alternating_master_seeds_in_one_thread_draw_each_seed_spec_stream():
+    # the thread's one cursor is rebuilt at each change of master seed
     fam = _SAMPLE_FAMILIES["ellipsoid-block4"]
-    seeds = [SeedSpec(master, 2) for master in range(3 * sampling._MAX_CURSORS)] * 2
-    kept, tables = [], []
-
-    def work():
-        for seed in seeds:
-            tables.append(_sample_table(fam, 6, seed))
-            kept.append(len(sampling._cursors.by_master))
-
-    thread = threading.Thread(target=work)
+    seeds = [SeedSpec(master, index) for index in (2, 0, 5) for master in (0, 9, _U64_MAX)]
+    tables = []
+    thread = threading.Thread(target=lambda: tables.extend(_sample_table(fam, 6, seed)
+                                                           for seed in seeds))
     thread.start()
     thread.join(timeout=60)
     assert not thread.is_alive()
-    assert max(kept) <= sampling._MAX_CURSORS
     assert tables == [_seed_spec_table(fam, 6, seed) for seed in seeds]
 
 
