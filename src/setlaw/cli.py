@@ -531,7 +531,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=None,
                         help="override the config master seed")
     parser.add_argument("--threads", type=int, default=None,
-                        help="worker processes (0 = auto); never changes outputs")
+                        help="worker threads (0 = auto); never changes outputs")
     parser.add_argument("--strict", action="store_true",
                         help="exit nonzero when an acceptance flag fails")
     args = parser.parse_args(argv)

@@ -28,6 +28,7 @@ This module only computes: reports and plot curves go to files through
 
 from __future__ import annotations
 
+import contextvars
 import math
 import os
 from dataclasses import dataclass, field
@@ -140,20 +141,20 @@ def _bound_ok(empirical: float, bound: float, replications: int) -> bool:
 
 
 def _map_chunks(func, args_list, threads: int):
-    # the fork context starts every worker up front, so never ask for more
-    # than there are chunks or CPUs; outputs do not depend on the count
+    # never more workers than there are chunks or CPUs; outputs do not
+    # depend on the count
     workers = min(threads, len(args_list), os.cpu_count() or 1)
     if workers <= 1:
         return [func(a) for a in args_list]
-    # imported here, so that commands that never start a pool skip about 16 ms
-    from concurrent.futures import ProcessPoolExecutor
-    from multiprocessing import get_context
-    # about four tasks per worker: each task is one round trip through the
-    # pool's queues, and a few per worker still even out their finishing times
-    chunksize = -(-len(args_list) // (4 * workers))
-    with ProcessPoolExecutor(max_workers=workers,
-                             mp_context=get_context("fork")) as pool:
-        return list(pool.map(func, args_list, chunksize=chunksize))
+    # imported here, so that commands that never start a pool skip about 6 ms
+    from concurrent.futures import ThreadPoolExecutor
+    # a chunk's heavy steps are numpy calls that release the GIL.  Each chunk
+    # runs in its own copy of the caller's context, which carries numpy's error
+    # state; the copies are taken here, as a context cannot be entered by two
+    # threads at once.  map cancels the chunks not yet started if one raises
+    contexts = [contextvars.copy_context() for _ in args_list]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(lambda ctx, args: ctx.run(func, args), contexts, args_list))
 
 
 # -- weak law ---------------------------------------------------------------

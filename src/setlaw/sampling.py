@@ -437,8 +437,8 @@ def _interval_spec(axes_pattern: tuple[float, ...], d: int,
     Cached because the weak-law harness asks for a spec once per row block:
     the README ``wlln`` config makes 752 lookups for 3 specs, an n = 1000
     spec costs 250-290 us to build, and the cache takes that run from 0.72
-    to 0.54 s (one worker, best of 4, on a 2-CPU box).  A spec is
-    immutable, so sharing one is safe.
+    to 0.54 s (one worker, best of 4, on a 2-CPU box).  Specs are immutable,
+    so worker threads share them; two that miss at once build equal specs.
     """
     axes = np.resize(np.asarray(axes_pattern), d)
     if clamp:

@@ -294,7 +294,7 @@ def test_threads_flag_and_env_do_not_change_bytes(tmp_path):
 
 @pytest.mark.parametrize("text", [
     # 25 strong-law chunks of 8 paths, and 10 weak-law chunks of 256 replications per n:
-    # at 2 workers the pool sends them in batches of 4 and of 2
+    # many chunks per worker thread at 2 workers
     SLLN_TEXT.replace("paths = 6", "paths = 200").replace("max_n = 400", "max_n = 100"),
     WLLN_TEXT.replace("replications = 150", "replications = 2560").replace("10,50", "5,20"),
 ], ids=["slln", "wlln"])

@@ -2,6 +2,7 @@ import concurrent.futures
 import csv
 import math
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -270,37 +271,106 @@ def test_slln_on_two_dimensional_family():
 
 
 def test_pool_size_is_clamped_to_chunks_and_cpus(monkeypatch):
-    # a stand-in executor records the requested size and batch, and starts no process
+    # a thread pool that records the size it was asked for
     requested = []
 
-    class RecordingPool:
-        def __init__(self, max_workers, mp_context):
-            self.workers = max_workers
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, func, args_list, chunksize):
-            requested.append((self.workers, chunksize))
-            return map(func, args_list)
+    class RecordingPool(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+            super().__init__(max_workers)
 
     # _map_chunks imports the executor only when it starts a pool
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     assert harness._map_chunks(abs, [-1, -2, -3], 64) == [1, 2, 3]
     assert harness._map_chunks(abs, list(range(-10, 0)), 64) == list(range(10, 0, -1))
-    # about four tasks per worker: 125 chunks (slln-block) go as 8 tasks of 16 on 2 workers
+    # slln-block: 125 chunks on 2 workers, results in chunk order
     assert harness._map_chunks(abs, list(range(-125, 0)), 2) == list(range(125, 0, -1))
     assert harness._map_chunks(abs, list(range(-17, 0)), 64) == list(range(17, 0, -1))
-    assert requested == [(3, 1), (4, 1), (2, 16), (4, 2)]
-    # one chunk or one CPU runs in-process without a pool
+    assert requested == [3, 4, 2, 4]
+    # one chunk or one CPU runs in the calling thread without a pool
     assert harness._map_chunks(abs, [-5], 64) == [5]
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert harness._map_chunks(abs, [-1, -2], 64) == [1, 2]
     assert len(requested) == 4
+
+
+def _overflow_mode(_):
+    return np.geterr()["over"]
+
+
+def test_chunks_see_the_callers_numpy_error_state(monkeypatch):
+    # a worker thread starts in an empty context, where numpy's default "warn" holds
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    with np.errstate(over="raise"):
+        assert harness._map_chunks(_overflow_mode, range(6), 2) == ["raise"] * 6
+    assert harness._map_chunks(_overflow_mode, range(6), 2) == [np.geterr()["over"]] * 6
+
+
+def test_laws_start_no_process(monkeypatch):
+    def no_fork():
+        raise AssertionError("a chunk map forked a process")
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "fork", no_fork)
+    fam = EllipsoidIntervalFamily((1.0,), block_dim=4)
+    report = run_slln(SllnConfig(fam, 100, 20, SeedSpec(6)), threads=2)
+    assert report.metadata["paths_passed"].endswith("/20")
+    report = run_wlln(WllnConfig(fam, (10, 100), 0.5, 600, SeedSpec(6)), threads=2)
+    assert len(report.detail[100]) == 600
+
+
+def _fresh_families():
+    from setlaw import Box, make_direction_grid
+    grid = make_direction_grid(2, 16, "uniform_angles_2d")
+    box = Box((-0.5, 0.0), (1.0, 2.0))
+    return {
+        "interval-block": EllipsoidIntervalFamily((1.0, 0.5), block_dim=7),
+        "interval-regenerated": EllipsoidIntervalFamily((1.0, 2.0)),
+        "scaled_iid-box": ScaledTemplateFamily(box, "iid_uniform", direction_grid=grid),
+        "scaled_ar1": ScaledTemplateFamily(Interval(0.0, 4.0), "ar1", rho=0.5),
+        "deterministic": DeterministicFamily(box, grid),
+    }
+
+
+def _report_bytes(report):
+    return report.rows, [(k, np.asarray(v).tobytes()) for k, v in report.detail.items()]
+
+
+@pytest.mark.parametrize("name", sorted(_fresh_families()))
+def test_threads_fill_cold_caches_without_changing_bytes(name, monkeypatch):
+    # every lazy value a chunk reads (a family's _row, a spec's axes, the
+    # _interval_spec cache) starts empty, so the threads fill it themselves
+    from setlaw import sampling
+
+    def cold(threads, run):
+        sampling._interval_spec.cache_clear()
+        return run(_fresh_families()[name], threads)
+
+    def laws(family, threads):
+        slln = run_slln(SllnConfig(family, 100, 20, SeedSpec(5)), threads=threads)
+        wlln = run_wlln(WllnConfig(family, (10, 100), 0.5, 600, SeedSpec(5)),
+                        threads=threads)
+        return _report_bytes(slln), _report_bytes(wlln)
+
+    squares = tuple(range(1, 11))
+    checkpoints = SllnConfig(EllipsoidIntervalFamily(), 100, 1, SEED).checkpoints
+
+    def chunks(family, threads):
+        # the chunks alone: no run fills the caches before the pool starts
+        work = [(family, 100, 5, lo, lo + 2, checkpoints, squares, 0.05, 5)
+                for lo in range(0, 16, 2)]
+        return [[part.tobytes() for part in parts]
+                for parts in harness._map_chunks(harness._slln_chunk, work, threads)]
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    assert cold(2, laws) == cold(1, laws)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert cold(4, chunks) == cold(1, chunks)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 # -- strong-law chunk against the pre-vectorization loop -----------------------

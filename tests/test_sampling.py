@@ -453,8 +453,8 @@ def test_cursor_rejects_out_of_range_seeds():
 
 def test_import_leaves_numpy_random_unloaded():
     # numpy loads numpy.random on first use; an import that forces it moves
-    # about 15 ms into every command's start-up.  The process pool's modules
-    # (16-21 ms) load only when a pool starts, and scipy (about 0.5 s and
+    # about 15 ms into every command's start-up.  The thread pool's modules
+    # (6-9 ms) load only when a pool starts, and scipy (about 0.5 s and
     # 33-38 MiB) not at all; the CLI writes its CSV files without csv.
     code = ("import sys, setlaw; random = 'numpy.random' in sys.modules; import setlaw.cli; "
             "print(*[m for m in ('concurrent.futures', 'scipy', 'csv') if m in sys.modules]); "
