@@ -300,16 +300,19 @@ def write_slln_detail_csv(report: ConvergenceReport, path) -> None:
     cps = d["checkpoints"].tolist()
     # -1 points at the empty interblock field every non-square checkpoint gets
     cols = [square_col.get(n, -1) for n in cps]
-    flags = [int(n in square_col) for n in cps]
-
-    def lines():
+    # one path's lines, each checkpoint and square flag written in; one % per
+    # path fills each line's path, s_n_over_n (as repr) and interblock_max
+    template = "".join(f"%s,{n},%r,{int(n in square_col)},%s\r\n" for n in cps)
+    fields = [None] * (3 * len(cps))
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write("path,n,s_n_over_n,is_square_checkpoint,interblock_max\r\n")
         # row by row: the whole array as Python floats would add about 7 MB
         for p, (s_row, ib_row) in enumerate(zip(d["s_over_n"], d["interblock_max"])):
             ib = [repr(v) if math.isfinite(v) else "" for v in ib_row.tolist()] + [""]
-            yield from (f"{p},{n},{s!r},{flag},{ib[j]}"
-                        for n, s, flag, j in zip(cps, s_row.tolist(), flags, cols))
-
-    _write_table(path, "path,n,s_n_over_n,is_square_checkpoint,interblock_max", lines())
+            fields[0::3] = [p] * len(cps)
+            fields[1::3] = s_row.tolist()
+            fields[2::3] = [ib[j] for j in cols]
+            fh.write(template % tuple(fields))
 
 
 def write_slln_summary_csv(report: ConvergenceReport, path) -> None:

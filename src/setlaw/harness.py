@@ -248,6 +248,17 @@ def compare_bound(report: ConvergenceReport) -> list[dict]:
 # -- strong law --------------------------------------------------------------
 
 
+def _row_medians(x: np.ndarray) -> np.ndarray:
+    """``np.median(x, axis=1)`` bit for bit, from one sort: the middle value,
+    or the mean of the middle two, summed from +0.0 as ``np.median`` sums, so
+    a -0.0 median reads +0.0; NaN where the row holds a NaN.  ``np.median``
+    itself imports ``numpy.ma`` on its first call (about 8 ms)."""
+    x = np.sort(x, axis=1)
+    h = x.shape[1] // 2
+    mid = x[:, h] + 0.0 if x.shape[1] % 2 else (x[:, h - 1] + x[:, h] + 0.0) / 2
+    return np.where(np.isnan(x[:, -1]), x[:, -1], mid)  # NaNs sort last
+
+
 def _eventually_decreasing(s_over: np.ndarray, window: int) -> np.ndarray:
     """Decay certificate for each row of noisy nonnegative sequences.
 
@@ -257,8 +268,8 @@ def _eventually_decreasing(s_over: np.ndarray, window: int) -> np.ndarray:
     ``SllnConfig`` keeps the window to at most half the series, so the
     first and last windows are disjoint.
     """
-    first = np.median(s_over[:, :window], axis=1)
-    last = np.median(s_over[:, -window:], axis=1)
+    first = _row_medians(s_over[:, :window])
+    last = _row_medians(s_over[:, -window:])
     return last <= 0.5 * first + 1e-15
 
 
@@ -266,40 +277,58 @@ def _interblock_maxima(s: np.ndarray, sq: np.ndarray) -> np.ndarray:
     """max |s_k - s_{m^2}| / m^2 over m^2 < k < (m+1)^2, k <= max_n, per row.
 
     ``s[:, k-1]`` is the cumulative gap at length k and ``sq`` holds every
-    square m^2 <= max_n.  Each length is differenced against s at the last
-    square at or below it, and one ``maximum.reduceat`` over starts
-    alternating m^2, (m+1)^2 - 1 leaves each window's maximum in its even
-    columns; an empty window stays NaN.
+    square m^2 <= max_n.  One ``maximum.reduceat`` and one
+    ``minimum.reduceat`` over starts alternating m^2, (m+1)^2 - 1 leave each
+    window's largest and smallest s, hi and lo, in their even columns.  With
+    b = s_{m^2}, max(hi - b, b - lo) is max |s_k - b| exactly, as rounding is
+    monotone and b - x rounds to -(x - b); the abs gives a NaN from
+    inf - inf the sign ``np.abs`` gives it.  An empty window stays NaN.
     """
     max_n = s.shape[1]
     ends = np.append(sq[1:] - 1, max_n)  # window j is columns sq[j] .. ends[j] - 1
-    diff = np.repeat(s[:, sq - 1], ends - sq + 1, axis=1)
-    np.abs(np.subtract(s, diff, out=diff), out=diff)
     full = ends > sq  # only the last window can be empty
     starts = np.stack([sq[full], ends[full]], axis=1).ravel()
-    windows = np.maximum.reduceat(diff, starts[starts < max_n], axis=1)
+    starts = starts[starts < max_n]
+    b = s[:, sq[full] - 1]
+    above = np.maximum.reduceat(s, starts, axis=1)[:, ::2] - b
+    below = b - np.minimum.reduceat(s, starts, axis=1)[:, ::2]
     out = np.full((s.shape[0], len(sq)), np.nan)
-    out[:, full] = windows[:, ::2] / sq[full]
+    out[:, full] = np.abs(np.maximum(above, below)) / sq[full]
     return out
 
 
 def _slln_chunk(args):
-    family, max_n, master_seed, lo, hi, checkpoints, squares, threshold, window = args
-    cps = np.asarray(checkpoints)
+    """Paths lo..hi-1 of a strong-law run: (S_n/n at the checkpoints,
+    interblock maxima, pass flags).  ``args`` is (family, max_n, master_seed,
+    lo, hi) and then ``_slln_constants``' tuple, which the run computes once
+    for all its chunks."""
+    (family, max_n, master_seed, lo, hi,
+     cps, sq, mean_scales, norm, threshold, window) = args
     cursor = StreamCursor(master_seed)
     # path p reads stream p.  By the scale identity of the module docstring,
     # S_k = |sum_{j<=k} (s_j - mu_j)| times the grid norm max_u |h_T(u)|; the
     # interval family's row is (1, 0), so its S_k is the scale sum itself
     s = family._scales(max_n, lambda i: cursor.at(lo + i), hi - lo)
-    np.subtract(s, family._mean_scales(max_n), out=s)
+    np.subtract(s, mean_scales, out=s)
     np.cumsum(s, axis=1, out=s)
     np.abs(s, out=s)
-    s *= np.abs(family._row).max()  # s[i, k-1] is path i's cumulative gap at length k
+    s *= norm  # s[i, k-1] is path i's cumulative gap at length k
     # np.take keeps the columns row-major, as s[:, idx] would not: the
     # report's column means are summed in memory order, so layout shows in bits
     s_over = np.take(s, cps - 1, axis=1) / cps
     passed = (s_over[:, -1] < threshold) & _eventually_decreasing(s_over, window)
-    return s_over, _interblock_maxima(s, np.asarray(squares) ** 2), passed
+    return s_over, _interblock_maxima(s, sq), passed
+
+
+def _slln_constants(family, max_n: int, checkpoints, threshold: float,
+                    window: int) -> tuple:
+    """What every strong-law chunk reads after its (family, max_n, seed, lo, hi):
+    the checkpoints, the squares m^2 <= max_n, the mean scales mu_1..mu_max_n,
+    the grid norm max_u |h_T(u)|, the threshold and the median window.  A run
+    computes them once, before its chunks start."""
+    squares = np.arange(1, math.isqrt(max_n) + 1)
+    return (np.asarray(checkpoints), squares * squares, family._mean_scales(max_n),
+            np.abs(family._row).max(), threshold, window)
 
 
 def run_slln(config: SllnConfig, threads: int = 1) -> ConvergenceReport:
@@ -325,8 +354,10 @@ def run_slln(config: SllnConfig, threads: int = 1) -> ConvergenceReport:
 
     squares = tuple(m for m in range(1, math.isqrt(config.max_n) + 1))
     master = config.seed.master_seed
+    constants = _slln_constants(family, config.max_n, config.checkpoints,
+                                config.threshold, config.median_window)
     chunks = [(family, config.max_n, master, lo, min(lo + _SLLN_CHUNK, config.paths),
-               config.checkpoints, squares, config.threshold, config.median_window)
+               *constants)
               for lo in range(0, config.paths, _SLLN_CHUNK)]
     s_over, interblock, path_pass = (
         np.concatenate(part) for part in zip(*_map_chunks(_slln_chunk, chunks, threads)))

@@ -205,6 +205,26 @@ def test_polytope_sums_leave_numpy_ma_unloaded(tmp_path):
     assert done.stdout.split()[-2:] == ["0", "False"]
 
 
+def test_slln_run_leaves_numpy_ma_unloaded(tmp_path):
+    # np.median imports numpy.ma (about 8 ms) on its first call; the strong
+    # law's median certificate sorts instead
+    cfg = tmp_path / "slln.cfg"
+    cfg.write_text("command = slln\nseed = 3\nfamily = ellipsoid_interval\na = 1\n"
+                   "block_dim = 4\nmax_n = 400\npaths = 20\n")
+    code = (
+        "import sys\n"
+        "from setlaw.cli import main\n"
+        f"code = main(['--config', {str(cfg)!r}, '--out', {str(tmp_path / 'out')!r},"
+        " '--threads', '2'])\n"
+        "print(code, 'numpy.ma' in sys.modules)\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    done = subprocess.run([sys.executable, "-c", code], env=env, timeout=60,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split()[-2:] == ["0", "False"]
+    assert (tmp_path / "out" / "slln_detail.csv").exists()
+
+
 @pytest.mark.parametrize("case,seed", FOLD_CASES)
 def test_3d_sum_prune_keeps_maximizers_and_drops_only_deep_sums(case, seed):
     folded, raw, depth = _fold(_fold_parts(case, seed))

@@ -341,6 +341,7 @@ def _report_bytes(report):
 def test_threads_fill_cold_caches_without_changing_bytes(name, monkeypatch):
     # every lazy value a chunk reads (a family's _row, a spec's axes, the
     # _interval_spec cache) starts empty, so the threads fill it themselves
+    # (in a bare chunk map only the spec cache and axes: the constants read _row)
     from setlaw import sampling
 
     def cold(threads, run):
@@ -353,13 +354,15 @@ def test_threads_fill_cold_caches_without_changing_bytes(name, monkeypatch):
                         threads=threads)
         return _report_bytes(slln), _report_bytes(wlln)
 
-    squares = tuple(range(1, 11))
     checkpoints = SllnConfig(EllipsoidIntervalFamily(), 100, 1, SEED).checkpoints
 
     def chunks(family, threads):
-        # the chunks alone: no run fills the caches before the pool starts
-        work = [(family, 100, 5, lo, lo + 2, checkpoints, squares, 0.05, 5)
-                for lo in range(0, 16, 2)]
+        # the chunks alone: no run fills the caches before the pool starts, and
+        # the spec the constants' mean scales cached is dropped again, so each
+        # worker's first _scales misses
+        constants = harness._slln_constants(family, 100, checkpoints, 0.05, 5)
+        sampling._interval_spec.cache_clear()
+        work = [(family, 100, 5, lo, lo + 2, *constants) for lo in range(0, 16, 2)]
         return [[part.tobytes() for part in parts]
                 for parts in harness._map_chunks(harness._slln_chunk, work, threads)]
 
@@ -412,11 +415,72 @@ def _reference_slln_chunk(args):
     return s_over, interblock, passed
 
 
+def _reference_interblock_maxima(s, sq):
+    """``harness._interblock_maxima`` as it was written with one ``np.repeat``
+    copy of the gap, each length differenced against s at its square."""
+    max_n = s.shape[1]
+    ends = np.append(sq[1:] - 1, max_n)  # window j is columns sq[j] .. ends[j] - 1
+    diff = np.repeat(s[:, sq - 1], ends - sq + 1, axis=1)
+    np.abs(np.subtract(s, diff, out=diff), out=diff)
+    full = ends > sq  # only the last window can be empty
+    starts = np.stack([sq[full], ends[full]], axis=1).ravel()
+    windows = np.maximum.reduceat(diff, starts[starts < max_n], axis=1)
+    out = np.full((s.shape[0], len(sq)), np.nan)
+    out[:, full] = windows[:, ::2] / sq[full]
+    return out
+
+
+@pytest.mark.parametrize("max_n", [4, 5, 8, 9, 10, 99, 100, 101, 2500])
+def test_interblock_maxima_equal_the_repeat_version(max_n):
+    # rows of gaps, then rows that hold inf (from the last square on, from
+    # length 2 on, inside one window, everywhere, so that s_k - s_{m^2} is
+    # inf - inf), -inf, NaN, signed zeros and a mix of them
+    rng = np.random.default_rng(max_n)
+    sq = np.arange(1, math.isqrt(max_n) + 1) ** 2
+    s = np.abs(np.cumsum(rng.standard_normal((12, max_n)), axis=1))
+    s[1, sq[-1] - 1:] = np.inf
+    s[2, 1:] = np.inf
+    s[3, max_n // 2] = np.inf
+    s[4, max_n // 3] = -np.inf
+    s[5, -1] = np.nan
+    s[6] = np.inf
+    s[7, ::3] = -0.0
+    s[8] = rng.choice([0.0, -0.0, 1.0, np.inf, -np.inf], size=max_n)
+    with np.errstate(invalid="ignore"):  # inf - inf
+        new, old = harness._interblock_maxima(s, sq), _reference_interblock_maxima(s, sq)
+    assert new.dtype == old.dtype and new.shape == old.shape
+    assert np.array_equal(np.isnan(new), np.isnan(old))
+    assert new.tobytes() == old.tobytes()
+    assert np.isnan(new[6]).all() and np.isinf(new[3]).any()
+
+
+@pytest.mark.parametrize("window", range(1, 9))
+def test_row_medians_equal_numpy_median(window):
+    # ties, signed zeros, infinities of both signs and NaN, many rows at once
+    rng = np.random.default_rng(window)
+    pool = [0.0, -0.0, 0.5, 1.0, 1.0, -2.0, np.inf, -np.inf, np.nan]
+    x = rng.choice(pool, size=(4000, window))
+    x[:5] = [-0.0] * window, [0.0] * window, [np.nan] * window, [np.inf] * window, \
+        [1.0] * window
+    with np.errstate(invalid="ignore"):  # inf + -inf
+        got, want = harness._row_medians(x), np.median(x, axis=1)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
 def _chunk_args(family, max_n, window, checkpoints=None, threshold=0.05):
-    squares = tuple(range(1, math.isqrt(max_n) + 1))
     if checkpoints is None:
         checkpoints = SllnConfig(family, max_n, 1, SEED, median_window=1).checkpoints
-    return (family, max_n, 31, 3, 7, tuple(checkpoints), squares, threshold, window)
+    return (family, max_n, 31, 3, 7,
+            *harness._slln_constants(family, max_n, tuple(checkpoints), threshold, window))
+
+
+def _reference_args(args):
+    """The reference loop's inputs for the chunk ``args``: the same paths,
+    checkpoints, threshold and window, with the squares' roots 1..isqrt(max_n)."""
+    family, max_n, seed, lo, hi, cps, *_, threshold, window = args
+    squares = tuple(range(1, math.isqrt(max_n) + 1))
+    return (family, max_n, seed, lo, hi, tuple(cps.tolist()), squares, threshold, window)
 
 
 def _assert_same_chunk(args):
@@ -426,7 +490,7 @@ def _assert_same_chunk(args):
     grid norm, where the loop sums s_k h_T(u) - mu_k h_T(u) per direction, so
     the values may differ by a few rounding steps: at most 8 ulps of the
     largest value, and no verdict moves."""
-    new, old = harness._slln_chunk(args), _reference_slln_chunk(args)
+    new, old = harness._slln_chunk(args), _reference_slln_chunk(_reference_args(args))
     assert len(new) == len(old)
     for a, b in zip(new, old):  # s_over, interblock (NaN included), pass
         # strides too: reductions over a column-major copy round differently
@@ -498,8 +562,8 @@ def test_slln_chunk_memory_does_not_grow_with_the_grid():
     max_n = 20_000
     family = _box_family_256()
     checkpoints = SllnConfig(family, max_n, 1, SEED, median_window=1).checkpoints
-    args = (family, max_n, 31, 0, 8, checkpoints, tuple(range(1, math.isqrt(max_n) + 1)),
-            0.05, 5)
+    args = (family, max_n, 31, 0, 8,
+            *harness._slln_constants(family, max_n, checkpoints, 0.05, 5))
     tracemalloc.start()
     try:
         harness._slln_chunk(args)
