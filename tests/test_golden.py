@@ -96,6 +96,27 @@ n_grid = 5,7,30
 epsilon = 0.3
 replications = 600
 """,
+    # non-dyadic semi-axes: the mean scales do not sum exactly, so a weak-law
+    # target summed in another order moves the detail bytes
+    "wlln-nondyadic-regen": """\
+command = wlln
+seed = 15
+family = ellipsoid_interval
+a = 0.3,1.7,1.1
+n_grid = 3,17,130,1000
+epsilon = 0.2
+replications = 300
+""",
+    "wlln-nondyadic-block7": """\
+command = wlln
+seed = 16
+family = ellipsoid_interval
+a = 0.3,1.7,1.1
+block_dim = 7
+n_grid = 5,7,30,333
+epsilon = 0.2
+replications = 300
+""",
     # an AR(1) scale with growth on a 2-D box: 16 support columns per body
     "wlln-ar1-box2d": """\
 command = wlln
@@ -146,7 +167,9 @@ replications = 200
 CASES = [("wlln", 1), ("wlln", 2), ("slln", 1), ("slln", 2), ("sample-box2d", 1),
          ("test-uncorr-box2d", 1), ("hausdorff-1d", 1), ("hausdorff-2d", 1),
          ("check-cond", 1), ("wlln-600-regen", 1), ("wlln-600-regen", 2),
-         ("wlln-600-block7", 1), ("wlln-600-block7", 2), ("wlln-ar1-box2d", 1),
+         ("wlln-600-block7", 1), ("wlln-600-block7", 2),
+         ("wlln-nondyadic-regen", 1), ("wlln-nondyadic-regen", 2),
+         ("wlln-nondyadic-block7", 1), ("wlln-nondyadic-block7", 2), ("wlln-ar1-box2d", 1),
          ("wlln-ar1-box2d", 2), ("slln-20", 1), ("slln-20", 2),
          ("test-uncorr-interval-block4", 1), ("test-uncorr-ar1-interval", 1)]
 
@@ -250,6 +273,38 @@ GOLDEN = {
             'a48206966003632778120c31432dcc2352f92fc3d6adc345c30dd60a2a9c2ae7',
         '<stdout>':
             '232bcdb06e0228756aa2a6a59c25231f96069d80e96db6554f4ef3b5a60fdd9b',
+    },
+    'wlln-nondyadic-regen': {
+        'manifest.txt':
+            '4a1b41de84470caac9331d63d6026ff521f6aafe8332dfa35e507b5dd03504f2',
+        'plot_bound.csv':
+            'b4b72e37358782b6a8e65b1b557b8ccbcc5c5d01bac930da7c596f12101992c9',
+        'plot_exceedance.csv':
+            'cec1b9be8b489cea53ee9abddd9240f461359b2a6c9971f560152e616f148cb4',
+        'plot_mean_d_h.csv':
+            'ed65838869f550d5cb9f4f12dce99a230ab2cecbb6895860b16221641ec1c816',
+        'wlln_detail.csv':
+            '83cda6564ea42dc03cdb17ecbd7c2b8245a2b4cf0cb704a41fd5e7fff204adf3',
+        'wlln_summary.csv':
+            '64df076eb15aa5a7b9c938292e8496544521074c9b977857f37672d44fb5cc22',
+        '<stdout>':
+            '36a8d39a4f91f0e00fe723ede71064ff05aecf1c36f0f1c82dd54a8b2ba5e55a',
+    },
+    'wlln-nondyadic-block7': {
+        'manifest.txt':
+            'f7cc1d03d3c3a5639a2160531695d742b97c8691ac69ef3959b57a531a828a4e',
+        'plot_bound.csv':
+            '9a4eb29682479ddc2109fab747f394470bc596b9d965f2154c8100fb4c9a9628',
+        'plot_exceedance.csv':
+            '26a3655a7e183246fbf869d1f9897ad1e3d0a94c0f7416ebe5d16ead9a312de8',
+        'plot_mean_d_h.csv':
+            '6b71561a8e3c4ae71cb4c5e06d126329ed666d97ec24c62a0ff499453c0f24be',
+        'wlln_detail.csv':
+            '006105b74c35811d5c3e38952b37173979dcf4984505034957367b1acc1c3da3',
+        'wlln_summary.csv':
+            '827fadf022ae1251ea60909f6e24f833504b67cd2daf315acd6d259b3127b959',
+        '<stdout>':
+            '2aa86b39e661450bfa8fd814e63c65d22d1f5db64bc4635259ba7136f06b5cdc',
     },
     'wlln-ar1-box2d': {
         'manifest.txt':
