@@ -10,13 +10,15 @@ subsequence S_{m^2}/m^2 and between-square fluctuation maxima that the
 almost-sure argument rests on.
 
 Every family is V_k = s_k T, so h(V_k, u) = s_k h_T(u), and with
-mu_k = E s_k the strong law's gap on the family grid is one scalar sum
-per path:
+mu_k = E s_k the gap on the family grid is one scalar sum:
 
     S_n = max_u |sum_{k<=n} (s_k - mu_k) h_T(u)|
         = |sum_{k<=n} (s_k - mu_k)| * max_u |h_T(u)|.
 
-So a path costs O(max_n) floats, whatever the grid size.
+The strong law follows S_n along each path, and the weak law's gap at n is
+S_n / n = |mean(s_1..s_n) - mean(mu_1..mu_n)| * max_u |h_T(u)|.  So neither
+law builds a support table: a replication or a path costs O(n) floats,
+whatever the grid size.
 
 Replications and paths are the unit of parallelism: each derives its own
 counter-based stream from (master_seed, index), and aggregation runs in a
@@ -160,18 +162,31 @@ def _map_chunks(func, args_list, threads: int):
 # -- weak law ---------------------------------------------------------------
 
 
+def _sums_in_order(s: np.ndarray) -> np.ndarray:
+    """Row sums of ``s``, added k = 1..n in order, as an (n, m) support table
+    sums down axis 0; reducing one contiguous run (a single row) sums pairwise."""
+    if len(s) == 1:
+        return np.cumsum(s[0])[-1:]
+    return np.add.reduce(np.ascontiguousarray(s.T), axis=0)
+
+
+def _wlln_constants(family, n: int) -> tuple:
+    """What every weak-law chunk at n reads after its (family, n, seed, lo, hi):
+    the mean of mu_1..mu_n and the grid norm max_u |h_T(u)|, computed once per n."""
+    return _sums_in_order(family._mean_scales(n)[None])[0] / n, np.abs(family._row).max()
+
+
 def _wlln_chunk(args) -> np.ndarray:
-    family, n, master_seed, lo, hi, target = args
+    """Gaps S_n / n of replications lo..hi-1 (module docstring)."""
+    family, n, master_seed, lo, hi, target, norm = args
     cursor = StreamCursor(master_seed)
     out = np.empty(hi - lo)
-    for rows in _row_blocks(hi - lo, n * len(target)):
-        block = family.support_block(
+    for rows in _row_blocks(hi - lo, n):
+        s = family._scales(
             n, lambda i: cursor.at((n << _STREAM_SHIFT) | (lo + rows.start + i)),
             rows.stop - rows.start)
-        # sums over n in order, like one replication's (n, m).mean(axis=0);
-        # a contiguous 1-D mean would sum pairwise and round differently
-        means = np.add.reduce(block, axis=0) / n
-        np.abs(means - target).max(axis=1, out=out[rows])
+        np.abs(_sums_in_order(s) / n - target, out=out[rows])
+    out *= norm
     return out
 
 
@@ -206,8 +221,8 @@ def run_wlln(config: WllnConfig, threads: int = 1,
     rows = []
     detail: dict[int, np.ndarray] = {}
     for n in config.n_grid:
-        target = family.mean_supports(n).mean(axis=0)
-        chunks = [(family, n, master, lo, min(lo + _WLLN_CHUNK, reps), target)
+        constants = _wlln_constants(family, n)
+        chunks = [(family, n, master, lo, min(lo + _WLLN_CHUNK, reps), *constants)
                   for lo in range(0, reps, _WLLN_CHUNK)]
         gaps = np.concatenate(_map_chunks(_wlln_chunk, chunks, threads))
         exceed = float(np.count_nonzero(gaps > config.epsilon) / reps)

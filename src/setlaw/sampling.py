@@ -13,18 +13,18 @@ draws, means and variances are written once for all families.
 
 Streams are addressed by (master_seed, stream_index) through a
 counter-based Philox generator, so any replication can be regenerated in
-isolation and results cannot depend on worker count.  Families draw
-blocks of replications: each row reads its raw numbers from its own
-stream, once, front to back, and the transform to supports runs once for
-the whole block.  The one degenerate draw, an all-zero normal vector in
-the ellipsoid draw, takes the signs of its zeros instead of reading more.
-A family's ``sample`` is one such draw: it holds its family and its
+isolation and results cannot depend on worker count.  Families draw the
+scales of blocks of replications: each row reads its raw numbers from its
+own stream, once, front to back, and the transform to scales runs once
+for the whole block.  The one degenerate draw, an all-zero normal vector
+in the ellipsoid draw, takes the signs of its zeros instead of reading
+more.  A family's ``sample`` is one such draw: it holds its family and its
 scales, and builds body objects only when they are read.  It reads its
 stream through a ``StreamCursor``, one per thread, which puts one reused
 Philox generator at the start of any stream of a master seed instead of
-building a new one per call.  The grid rule,
-the support row and ``describe``, the family's one label, live in the
-family base ``_ScaledBody``.
+building a new one per call.  The grid rule, the support row and
+``describe``, the family's one label, live in the family base
+``_ScaledBody``.
 """
 
 from __future__ import annotations
@@ -380,19 +380,9 @@ class _ScaledBody:
     def _row(self) -> np.ndarray:
         return embed(self._template, self.grid).values
 
-    def support_block(self, n: int, streams: Streams, size: int) -> np.ndarray:
-        """(n, size, m) support values of ``size`` draws of n bodies,
-        length-major; draw i comes from ``streams(i)``."""
-        s = self._scales(n, streams, size)
-        row = self._row
-        return np.multiply(s.T[:, :, None], row, out=np.empty((n, size, len(row))))
-
     def support_draws(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """(n, m) support values of n bodies drawn from ``rng``."""
-        return self.support_block(n, lambda _row: rng, 1)[:, 0]
-
-    def mean_supports(self, n: int) -> np.ndarray:
-        return np.outer(self._mean_scales(n), self._row)
+        return np.multiply.outer(self._scales(n, lambda _row: rng, 1)[0], self._row)
 
     def variances(self, n: int) -> np.ndarray:
         """Exact Var of the support values, Var(s_k) h_T(u)^2, one row per index.
@@ -409,7 +399,7 @@ class _ScaledBody:
 
     def sample(self, count: int, seed: SeedSpec) -> SetSample:
         """``count`` bodies drawn from stream ``seed``: the scales of the draw
-        ``support_block`` makes, with the bodies built when first read.  The
+        ``support_draws`` makes, with the bodies built when first read.  The
         stream is read through this thread's cursor, so a loop of samples
         builds no generator per call."""
         if count < 1:
@@ -454,7 +444,8 @@ def _interval_spec(axes_pattern: tuple[float, ...], d: int,
     return EllipsoidFamilySpec(tuple(axes))
 
 
-# supports of [0, 1] on {+1, -1}, with +0.0 at -1 as ``support_block`` writes it
+# supports of [0, 1] on {+1, -1}, with +0.0 at -1 where ``support_values`` gives
+# 0 * -1 = -0.0, so that the family's support tables hold +0.0 there
 _UPPER_ENDPOINT = np.array([1.0, 0.0])
 _UPPER_ENDPOINT.flags.writeable = False
 
@@ -513,15 +504,6 @@ class EllipsoidIntervalFamily(_ScaledBody):
 
     def _scale_variances(self, n: int) -> np.ndarray:
         return _cycle(interval_family_variances(self._spec_for(n)), n)
-
-    def support_block(self, n: int, streams: Streams, size: int) -> np.ndarray:
-        # the upper endpoints written into a zeroed table cost about a tenth of
-        # the general product over a row of two; Y is drawn before the table
-        # is made, which keeps the weak law's n = 1000 blocks fast
-        y = self._scales(n, streams, size)
-        out = np.zeros((n, size, 2))
-        out[:, :, 0] = y.T
-        return out
 
     # bound here by name: the benchmark's trace wraps this class's own support_draws
     support_draws = _ScaledBody.support_draws

@@ -312,11 +312,11 @@ GOLDEN = {
         'plot_exceedance.csv':
             '5717d66ea4e1b87a6b4ae13db5733d3ce2ff8fc2595071d3c6db5704a942f6be',
         'plot_mean_d_h.csv':
-            'b7588847997d00f0f8c47430130b298914cdda0e89114df11f1c7899bc6170f6',
+            '8e00a0e553009e31c1bc09a7f1841362c7acb0cfcf56c51bae1af0935b1a8835',
         'wlln_detail.csv':
-            '7843faa0392e1e411130cbc6ec4facc12f1a57b0a6e595d19e7256816fdba027',
+            '19ed2d6465675f3fd5c59699352257b21fbe28fcef4ca025f9cb0b0637fcef54',
         'wlln_summary.csv':
-            '3457502cb9c1c4971936f525b9764e36fa3e4c99f934a62a562bdea80b277ed1',
+            '939c2c78877b6483d08beedecb817b45377240290599f35b27e5b997cbec3ba3',
         '<stdout>':
             'c46822fc466b116f419e270771555f46220f6b01ac8a04012e92d47d5ba2aad4',
     },

@@ -15,6 +15,7 @@ from setlaw import (
     Interval,
     ScaledTemplateFamily,
     SeedSpec,
+    SetSample,
     SllnConfig,
     WllnConfig,
     compare_bound,
@@ -24,7 +25,9 @@ from setlaw import (
 )
 from setlaw import harness
 from setlaw.cli import write_slln_detail_csv
-from setlaw.harness import ReportRow
+from setlaw.geometry import _row_blocks
+from setlaw.harness import _STREAM_SHIFT, ReportRow
+from setlaw.sampling import StreamCursor
 
 SEED = SeedSpec(42)
 
@@ -89,7 +92,7 @@ def test_scalar_identity_cross_check(family):
     n, reps = 50, 100
     report = run_wlln(WllnConfig(family, (n,), 0.5, reps, SEED))
     gaps = report.detail[n]
-    expected_upper = family.mean_supports(n)[:, 0]
+    expected_upper = np.outer(family._mean_scales(n), family._row)[:, 0]
     for r in range(reps):
         sample = family.sample(n, SeedSpec(SEED.master_seed, (n << 20) | r))
         uppers = np.array([b.hi for b in sample.bodies])
@@ -180,12 +183,78 @@ def test_wlln_chunk_bytes_do_not_depend_on_block_size(n, monkeypatch):
     from setlaw import Box, geometry, make_direction_grid
     box = ScaledTemplateFamily(Box((-0.5, 0.0), (1.0, 2.0)), "ar1", rho=0.3,
                                direction_grid=make_direction_grid(2, 16, "uniform_angles_2d"))
-    chunks = [(family, n, 19, 5, 45, family.mean_supports(n).mean(axis=0))
+    chunks = [(family, n, 19, 5, 45, *harness._wlln_constants(family, n))
               for family in (EllipsoidIntervalFamily((1.0, 2.0)), box)]
     want = [harness._wlln_chunk(chunk).tobytes() for chunk in chunks]
     for elements in (7, 1 << 20):  # one replication per block; one block per chunk
         monkeypatch.setattr(geometry, "_BLOCK_ELEMENTS", elements)
         assert [harness._wlln_chunk(chunk).tobytes() for chunk in chunks] == want
+
+
+# -- weak-law chunk against the support-table chunk ---------------------------
+
+def _support_table(family, n, streams, size):
+    """(n, size, m) support values of ``size`` draws: their scales times the
+    family's support row, length-major and C-contiguous, the layout whose
+    reduction over n sums in order."""
+    return np.ascontiguousarray(np.multiply.outer(family._scales(n, streams, size).T,
+                                                  family._row))
+
+
+def _reference_wlln_chunk(args):
+    """``harness._wlln_chunk`` as it was written over support tables: ``args``
+    ends in the mean of the (n, m) table of mean supports."""
+    family, n, master_seed, lo, hi, target = args
+    cursor = StreamCursor(master_seed)
+    out = np.empty(hi - lo)
+    for rows in _row_blocks(hi - lo, n * len(target)):
+        block = _support_table(
+            family, n, lambda i: cursor.at((n << _STREAM_SHIFT) | (lo + rows.start + i)),
+            rows.stop - rows.start)
+        # sums over n in order, like one replication's (n, m).mean(axis=0);
+        # a contiguous 1-D mean would sum pairwise and round differently
+        means = np.add.reduce(block, axis=0) / n
+        np.abs(means - target).max(axis=1, out=out[rows])
+    return out
+
+
+def _oracle_families():
+    from setlaw import Box, make_direction_grid
+    grid = make_direction_grid(2, 16, "uniform_angles_2d")
+    box = Box((-1.0, -0.5), (0.75, 2.0))
+    return {
+        "interval-regenerated": EllipsoidIntervalFamily((0.3, 1.7, 1.1)),
+        "interval-block7": EllipsoidIntervalFamily((0.3, 1.7, 1.1), block_dim=7),
+        "deterministic-box2d": DeterministicFamily(box, grid),
+        "ar1-growth-box2d": ScaledTemplateFamily(box, "ar1", rho=0.6, growth=0.25,
+                                                 direction_grid=grid),
+        "iid-interval": ScaledTemplateFamily(Interval(-1.0, 2.0)),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_oracle_families()))
+@pytest.mark.parametrize("n", [1, 7, 60, 1000])
+def test_wlln_chunk_matches_the_support_table_chunk(name, n):
+    # bit for bit on interval and deterministic families, whose rows are (1, 0)
+    # and whose gaps are 0.  A scaled family's chunk multiplies one scale mean
+    # by the grid norm, where the table chunk takes max_u |mean s_k h_u - t_u|,
+    # so the two round apart by at most 4 n eps max_u |t_u|; no verdict moves.
+    # The chunks (one replication; 65 = 32 + 32 + 1 at n = 1000; 256) end in
+    # row blocks of one, which a reduction of the transpose would sum pairwise
+    family = _oracle_families()[name]
+    table_target = np.outer(family._mean_scales(n), family._row).mean(axis=0)
+    scaled = isinstance(family, ScaledTemplateFamily)
+    for lo, hi in ((0, 1), (5, 70), (3, 259)):
+        new = harness._wlln_chunk((family, n, 19, lo, hi, *harness._wlln_constants(family, n)))
+        old = _reference_wlln_chunk((family, n, 19, lo, hi, table_target))
+        assert new.dtype == old.dtype and new.shape == old.shape
+        if not scaled:
+            assert new.tobytes() == old.tobytes()
+            continue
+        tol = 4 * n * np.finfo(float).eps * np.abs(table_target).max()
+        assert np.abs(new - old).max() <= tol
+        for epsilon in (0.05, 0.3):
+            assert np.array_equal(new > epsilon, old > epsilon)
 
 
 # -- strong law -------------------------------------------------------------------
@@ -395,7 +464,7 @@ def _reference_slln_chunk(args):
     every windowed median, and one Python step per square."""
     family, max_n, master_seed, lo, hi, checkpoints, squares, threshold, window = args
     cps = np.asarray(checkpoints)
-    target = family.mean_supports(max_n)
+    target = np.outer(family._mean_scales(max_n), family._row)
     s_over = np.empty((hi - lo, len(cps)))
     interblock = np.full((hi - lo, len(squares)), np.nan)
     passed = np.empty(hi - lo, dtype=bool)
@@ -544,15 +613,20 @@ def test_slln_chunk_matches_reference_loop_on_explicit_checkpoints(family):
     DeterministicFamily(Interval(0, 2)),
     _box_family_256("ar1", rho=0.5),
 ], ids=["ellipsoid-interval", "deterministic", "box2d-256-ar1"])
-def test_slln_draws_no_support_table(family, monkeypatch):
-    # the strong law reads a family's scales; its support tables are the weak law's
+@pytest.mark.parametrize("law", ["wlln", "slln"])
+def test_laws_draw_no_support_table(law, family, monkeypatch):
+    # both laws read a family's scales; a support table is only for samples
     def refuse(*args, **kwargs):
-        raise AssertionError("the strong law drew a support table")
+        raise AssertionError(f"the {law} drew a support table")
 
-    for attr in ("support_draws", "support_block"):
-        monkeypatch.setattr(type(family), attr, refuse)
-    report = run_slln(SllnConfig(family, 100, 9, SeedSpec(6)))
-    assert report.detail["s_over_n"].shape == (9, 10)
+    monkeypatch.setattr(type(family), "support_draws", refuse)
+    monkeypatch.setattr(SetSample, "supports", refuse)
+    if law == "wlln":
+        report = run_wlln(WllnConfig(family, (10, 100), 0.5, 300, SeedSpec(6)))
+        assert report.detail[100].shape == (300,)
+    else:
+        report = run_slln(SllnConfig(family, 100, 9, SeedSpec(6)))
+        assert report.detail["s_over_n"].shape == (9, 10)
 
 
 def test_slln_chunk_memory_does_not_grow_with_the_grid():

@@ -33,7 +33,7 @@ from setlaw import (
     Direction,
 )
 from setlaw import sampling
-from setlaw.harness import _STREAM_SHIFT, _wlln_chunk
+from setlaw.harness import _STREAM_SHIFT, _wlln_chunk, _wlln_constants
 from setlaw.sampling import (
     DeterministicFamily,
     StreamCursor,
@@ -303,7 +303,7 @@ def test_huge_axes_bound_the_variance_by_the_limit_or_by_inf():
 
 def _fresh_gaps(fam, n, master, reps):
     """Weak-law gaps with a spec rebuilt from the pattern at every replication."""
-    target = fam.mean_supports(n).mean(axis=0)
+    target = np.outer(fam._mean_scales(n), fam._row).mean(axis=0)
     gaps = np.empty(reps)
     for r in range(reps):
         rng = SeedSpec(master, (n << _STREAM_SHIFT) | r).generator()
@@ -326,9 +326,8 @@ def _fresh_gaps(fam, n, master, reps):
 def test_cached_spec_gaps_equal_fresh_spec_gaps(block_dim, n):
     fam = EllipsoidIntervalFamily((1.0, 5.0), block_dim)  # sqrt(n) clamp bites at n = 10
     reps = 40
-    target = fam.mean_supports(n).mean(axis=0)
     for _ in range(2):  # the second pass reads a cache the first one filled
-        cached = _wlln_chunk((fam, n, 77, 0, reps, target))
+        cached = _wlln_chunk((fam, n, 77, 0, reps, *_wlln_constants(fam, n)))
         assert np.array_equal(cached, _fresh_gaps(fam, n, 77, reps))
 
 
@@ -486,28 +485,28 @@ _BLOCK_FAMILIES = {
 }
 
 
+def _one_draw(fam, n, rng):
+    """The n scales of one draw from ``rng``."""
+    return fam._scales(n, lambda _row: rng, 1)[0]
+
+
 @pytest.mark.parametrize("name", sorted(_BLOCK_FAMILIES))
 @pytest.mark.parametrize("size", [1, 3, 33])
 @pytest.mark.parametrize("n", [1, 9, 40])
 def test_block_draws_equal_per_replication_draws(name, size, n):
     fam = _BLOCK_FAMILIES[name]
     indices = [(n << _STREAM_SHIFT) | (5 + 2 * i) for i in range(size)]
-    block = fam.support_block(n, lambda i: SeedSpec(21, indices[i]).generator(), size)
-    loop = np.stack([fam.support_draws(n, SeedSpec(21, r).generator()) for r in indices],
-                    axis=1)
-    m = len(fam.grid)
-    # length-major and C-contiguous: the weak-law reduction sums over n in
-    # order only on this layout
-    assert block.shape == (n, size, m) and block.flags.c_contiguous
+    block = fam._scales(n, lambda i: SeedSpec(21, indices[i]).generator(), size)
+    loop = np.stack([_one_draw(fam, n, SeedSpec(21, r).generator()) for r in indices])
+    assert block.shape == (size, n)
     assert block.dtype == loop.dtype and block.tobytes() == loop.tobytes()
 
 
 def test_block_draws_with_a_cursor_equal_seed_spec_draws():
     fam = EllipsoidIntervalFamily((1.0,), block_dim=16)
     cursor = StreamCursor(77)
-    block = fam.support_block(100, cursor.at, 5)
-    loop = np.stack([fam.support_draws(100, SeedSpec(77, i).generator()) for i in range(5)],
-                    axis=1)
+    block = fam._scales(100, cursor.at, 5)
+    loop = np.stack([_one_draw(fam, 100, SeedSpec(77, i).generator()) for i in range(5)])
     assert block.tobytes() == loop.tobytes()
 
 
@@ -571,7 +570,7 @@ class _OnceStreams:
 def test_block_draws_read_each_stream_once(name, size):
     fam = _BLOCK_FAMILIES[name]
     streams = _OnceStreams(size - 1)
-    block = fam.support_block(9, streams, size)
+    block = fam._scales(9, streams, size)
     # a deterministic family reads no stream
     assert streams.asked == ([] if isinstance(fam, DeterministicFamily) else list(range(size)))
     assert np.all(np.isfinite(block))
@@ -583,7 +582,7 @@ def test_support_draws_read_their_generator_once(name):
     rng = _ZeroRowStream(0, 0.0)  # no bit generator state to rewind
     got = fam.support_draws(9, rng)
     assert rng.normal_calls == (1 if isinstance(fam, EllipsoidIntervalFamily) else 0)
-    want = fam.support_block(9, _OnceStreams(0), 1)[:, 0]
+    want = np.multiply.outer(fam._scales(9, _OnceStreams(0), 1)[0], fam._row)
     assert got.tobytes() == want.tobytes()
 
 
@@ -613,8 +612,7 @@ def test_family_sample_carries_its_support_block_draw(name):
     fam = _SAMPLE_FAMILIES[name]
     seed = SeedSpec(23, 4)
     sample = fam.sample(9, seed)
-    gen = seed.generator()
-    want = fam.support_block(9, lambda _row: gen, 1)[:, 0]
+    want = fam.support_draws(9, seed.generator())
     got = sample.supports(fam.grid)
     assert (len(sample), sample.dim) == (9, fam.dim)
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
@@ -625,8 +623,7 @@ def _sample_table(fam, count, seed):
 
 
 def _seed_spec_table(fam, count, seed):
-    gen = seed.generator()
-    return fam.support_block(count, lambda _row: gen, 1)[:, 0].tobytes()
+    return fam.support_draws(count, seed.generator()).tobytes()
 
 
 def test_family_sample_in_threads_draws_each_seed_spec_stream():
@@ -725,15 +722,10 @@ def test_family_bodies_are_built_when_read_as_scales_times_the_body(name, monkey
 
 @pytest.mark.parametrize("name", sorted(_SAMPLE_FAMILIES))
 def test_draws_and_moments_are_scales_times_the_support_row(name):
+    # the draws are pinned by test_family_sample_carries_its_support_block_draw
     fam = _SAMPLE_FAMILIES[name]
-    n, size = 9, 3
-    streams, row = (lambda i: SeedSpec(31, i).generator()), fam._row
-    for got, want in (
-            (fam.support_block(n, streams, size),
-             np.multiply.outer(fam._scales(n, streams, size).T, row)),
-            (fam.mean_supports(n), np.outer(fam._mean_scales(n), row)),
-            (fam.variances(n), np.outer(fam._scale_variances(n), row ** 2))):
-        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    got, want = fam.variances(9), np.outer(fam._scale_variances(9), fam._row ** 2)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_deterministic_sample_keeps_the_body_as_given(tmp_path):
@@ -759,7 +751,7 @@ def test_overflowing_growth_is_an_error_not_a_warning():
         warnings.simplefilter("error")
         assert fam.variances(1).tolist() == [[1.0 / 12.0, 0.0]]
         assert np.isfinite(squared.variances(34)).all()
-        for call, n in ((fam.variances, 10), (fam.mean_supports, 10), (squared.variances, 35)):
+        for call, n in ((fam.variances, 10), (fam._mean_scales, 10), (squared.variances, 35)):
             with pytest.raises(FamilyError, match="overflows"):
                 call(n)
         with pytest.raises(FamilyError, match="overflows"):

@@ -409,9 +409,9 @@ def _reference_tensor(reps, grid, support):
 
 
 def _drawn_tensor(family, length, reps, master):
-    """(R, L, m) rows of ``support_block`` on the streams ``_replications`` uses."""
-    gens = [SeedSpec(master, r).generator() for r in range(reps)]
-    return np.stack([family.support_block(length, lambda _row: gen, 1)[:, 0] for gen in gens])
+    """(R, L, m) ``support_draws`` on the streams ``_replications`` uses."""
+    return np.stack([family.support_draws(length, SeedSpec(master, r).generator())
+                     for r in range(reps)])
 
 
 def test_support_tensor_matches_scalar_triple_loop():
@@ -421,7 +421,7 @@ def test_support_tensor_matches_scalar_triple_loop():
     reps = _replications(box, 6, 9, 60)
     tensor, used = _support_tensor(reps, grid)
     assert used is grid
-    # a family sample gives its support_block draw, c_k h_T(u), bit for bit
+    # a family sample gives its support_draws draw, c_k h_T(u), bit for bit
     assert tensor.tobytes() == _drawn_tensor(box, 6, 9, 60).tobytes()
     # samples built by hand from the same bodies c_k T give the scalar loop's bytes
     by_hand = [SetSample(rep.bodies) for rep in reps]
