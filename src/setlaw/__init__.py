@@ -58,7 +58,6 @@ from .harness import (
     HarnessError,
     SllnConfig,
     WllnConfig,
-    compare_bound,
     regenerated_wlln_trajectory,
     run_slln,
     run_wlln,

@@ -173,7 +173,7 @@ def _sums_in_order(s: np.ndarray) -> np.ndarray:
 def _wlln_constants(family, n: int) -> tuple:
     """What every weak-law chunk at n reads after its (family, n, seed, lo, hi):
     the mean of mu_1..mu_n and the grid norm max_u |h_T(u)|, computed once per n."""
-    return _sums_in_order(family._mean_scales(n)[None])[0] / n, np.abs(family._row).max()
+    return _sums_in_order(family._mean_scales(n)[None])[0] / n, family._norm
 
 
 def _wlln_chunk(args) -> np.ndarray:
@@ -191,12 +191,11 @@ def _wlln_chunk(args) -> np.ndarray:
 
 
 def regenerated_wlln_trajectory(family, n_values: Sequence[int]) -> np.ndarray:
-    """(1/n^2) * sum_{k<=n} Var(support), maximized over directions,
-    with the family regenerated at each requested length n."""
-    out = np.empty(len(n_values))
-    for i, n in enumerate(n_values):
-        out[i] = float(np.max(family.variances(n).sum(axis=0)) / n ** 2)
-    return out
+    """(1/n^2) * sum_{k<=n} Var(support), maximized over directions, with the
+    family regenerated at each requested length n: the final ``wlln_eq4`` value."""
+    return np.array([evaluate_variance_condition(VarianceSchedule.from_family(family, n),
+                                                 "wlln_eq4").trajectory[-1]
+                     for n in n_values])
 
 
 def run_wlln(config: WllnConfig, threads: int = 1,
@@ -240,24 +239,6 @@ def run_wlln(config: WllnConfig, threads: int = 1,
     }
     return ConvergenceReport("wlln", tuple(rows), reps, epsilon=config.epsilon,
                              metadata=metadata, detail=detail)
-
-
-def compare_bound(report: ConvergenceReport) -> list[dict]:
-    """Per-n comparison of the exceedance frequency with its analytic bound.
-
-    ``ok`` means empirical <= min(1, bound) + 3 binomial standard errors;
-    a bound above 1 passes trivially.
-    """
-    if report.kind != "wlln":
-        raise HarnessError("bound comparison applies to weak-law reports")
-    out = []
-    for row in report.rows:
-        if row.bound is None:
-            raise HarnessError(
-                f"row n={row.n} carries no analytic bound (missing variance metadata)")
-        out.append({"n": row.n, "empirical": row.exceed_freq, "bound": row.bound,
-                    "ok": _bound_ok(row.exceed_freq, row.bound, report.replications)})
-    return out
 
 
 # -- strong law --------------------------------------------------------------
@@ -341,9 +322,9 @@ def _slln_constants(family, max_n: int, checkpoints, threshold: float,
     the checkpoints, the squares m^2 <= max_n, the mean scales mu_1..mu_max_n,
     the grid norm max_u |h_T(u)|, the threshold and the median window.  A run
     computes them once, before its chunks start."""
-    squares = np.arange(1, math.isqrt(max_n) + 1)
-    return (np.asarray(checkpoints), squares * squares, family._mean_scales(max_n),
-            np.abs(family._row).max(), threshold, window)
+    roots = np.arange(1, math.isqrt(max_n) + 1)
+    return (np.asarray(checkpoints), roots * roots, family._mean_scales(max_n),
+            family._norm, threshold, window)
 
 
 def run_slln(config: SllnConfig, threads: int = 1) -> ConvergenceReport:
@@ -367,10 +348,10 @@ def run_slln(config: SllnConfig, threads: int = 1) -> ConvergenceReport:
         notes = "; ".join(c.note for c in checks)
         raise HarnessError(f"family passes neither strong-law variance check ({notes})")
 
-    squares = tuple(m for m in range(1, math.isqrt(config.max_n) + 1))
     master = config.seed.master_seed
     constants = _slln_constants(family, config.max_n, config.checkpoints,
                                 config.threshold, config.median_window)
+    squares = constants[1]
     chunks = [(family, config.max_n, master, lo, min(lo + _SLLN_CHUNK, config.paths),
                *constants)
               for lo in range(0, config.paths, _SLLN_CHUNK)]
@@ -394,10 +375,10 @@ def run_slln(config: SllnConfig, threads: int = 1) -> ConvergenceReport:
     detail = {
         "checkpoints": np.asarray(config.checkpoints),
         "s_over_n": s_over,
-        "squares": np.asarray(squares),
+        "squares": np.arange(1, len(squares) + 1),  # the roots m
         # every square is a checkpoint, so S_{m^2}/m^2 is a column of s_over
-        "square_values": np.take(s_over, np.searchsorted(config.checkpoints,
-                                                         np.square(squares)), axis=1),
+        "square_values": np.take(s_over, np.searchsorted(config.checkpoints, squares),
+                                 axis=1),
         "interblock_max": interblock,
         "path_pass": path_pass,
     }

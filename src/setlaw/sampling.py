@@ -9,7 +9,7 @@ families (i.i.d. and AR(1) scalings of a template body) provide positive
 and negative controls.  Every family is a scalar sequence times one fixed
 body, V_k = s_k T (s_k = Y_k and T = [0, 1] for the intervals, s_k = 1
 for a deterministic family), so its support values are s_k h_T(u) and its
-draws, means and variances are written once for all families.
+draws are written once for all families.
 
 Streams are addressed by (master_seed, stream_index) through a
 counter-based Philox generator, so any replication can be regenerated in
@@ -356,8 +356,8 @@ class _ScaledBody:
     ``_mean_scales``, ``_scale_variances``), its body ``_template``, its one
     label ``describe(n)`` and its two bounds.  The rest is written here once:
     the grid (``direction_grid``; without one, the exact grid {+1, -1} of
-    dimension 1), the support row ``_row`` of T on that grid, and the draws,
-    samples, means and variances that follow from them."""
+    dimension 1), the support row ``_row`` of T on that grid, its norm
+    ``_norm``, and the draws and samples that follow from them."""
 
     direction_grid: DirectionGrid | None = None
 
@@ -380,22 +380,16 @@ class _ScaledBody:
     def _row(self) -> np.ndarray:
         return embed(self._template, self.grid).values
 
+    @property
+    def _norm(self) -> np.float64:
+        """The grid norm max_u |h_T(u)|: sup_u |s h_T(u)| = |s| * _norm, and the
+        largest Var h(V_k, u) is Var(s_k) * _norm^2.  Not cached: a filled
+        ``cached_property`` would change the family's pickle."""
+        return np.abs(self._row).max()
+
     def support_draws(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """(n, m) support values of n bodies drawn from ``rng``."""
         return np.multiply.outer(self._scales(n, lambda _row: rng, 1)[0], self._row)
-
-    def variances(self, n: int) -> np.ndarray:
-        """Exact Var of the support values, Var(s_k) h_T(u)^2, one row per index.
-
-        An h_T(u)^2 that overflows gives inf, which a variance schedule
-        refuses, except where Var(s_k) = 0: a constant scale gives constant
-        supports, however large the body.
-        """
-        v = self._scale_variances(n)
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = np.outer(v, self._row ** 2)
-        out[v == 0.0] = 0.0
-        return out
 
     def sample(self, count: int, seed: SeedSpec) -> SetSample:
         """``count`` bodies drawn from stream ``seed``: the scales of the draw
@@ -419,6 +413,17 @@ def _chebyshev(variances: np.ndarray, epsilon: float, n: int, weight: float = 1.
         total = weight * float(variances.sum())
     scale = (epsilon * n) ** 2
     return total / scale if scale else math.inf
+
+
+def _variance_terms(scale_variances: np.ndarray, h) -> np.ndarray:
+    """Var h(V_k, u) = Var(s_k) h_T(u)^2, one row per index k and one column per
+    support value in ``h`` (none for a scalar ``h``).  A product that overflows
+    gives inf, which a variance schedule refuses, except where Var(s_k) = 0: a
+    constant scale gives constant supports, however large the body."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.multiply.outer(scale_variances, h * h)
+    out[scale_variances == 0.0] = 0.0
+    return out
 
 
 def _cycle(a: np.ndarray, n: int) -> np.ndarray:
@@ -521,7 +526,7 @@ class EllipsoidIntervalFamily(_ScaledBody):
 
     def chebyshev_bound(self, n: int, epsilon: float) -> float:
         """Published tail bound 2 * sum Var(Y_i) / (epsilon n)^2."""
-        return _chebyshev(self.variances(n)[:, 0], epsilon, n, 2.0)
+        return _chebyshev(self._scale_variances(n), epsilon, n, 2.0)
 
 
 @dataclass(frozen=True)
@@ -618,14 +623,14 @@ class ScaledTemplateFamily(_ScaledBody):
     def variance_bound(self) -> float | None:
         if self.growth:
             return None  # per-index variance grows without bound
-        with np.errstate(over="ignore"):  # an overflow gives inf, refused with the variances
-            peak = float(np.max(self._row ** 2))
-        return peak / 12.0
+        norm = float(self._norm)
+        return norm * norm / 12.0  # inf where norm^2 overflows, as in the refused schedule
 
     def chebyshev_bound(self, n: int, epsilon: float) -> float | None:
         if self.dim != 1:
             return None
-        return _chebyshev(self.variances(n), epsilon, n)
+        # the (n, 2) table of the exact grid, whose summation order fixes the bits
+        return _chebyshev(_variance_terms(self._scale_variances(n), self._row), epsilon, n)
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ from .geometry import (
     Direction,
     _default_grid,
 )
-from .sampling import SetSample
+from .sampling import SetSample, _variance_terms
 
 
 class StatsError(ValueError):
@@ -45,20 +45,22 @@ class StatsError(ValueError):
 
 @dataclass(frozen=True)
 class VarianceSchedule:
-    """Per-index variances of support values, one column per grid direction."""
+    """Per-index variances of support values: one column per grid direction,
+    or one column that dominates every direction.  A 1-D ``per_index`` is
+    stored as that one column.  Each condition takes its maximum over the
+    columns."""
 
     grid: DirectionGrid
     per_index: np.ndarray
 
     def __post_init__(self):
-        vals = np.asarray(self.per_index, dtype=float)
+        vals = np.array(self.per_index, dtype=float)  # our own copy, made read-only
         if vals.ndim == 1:
-            vals = vals[:, None] * np.ones((1, len(self.grid)))
-        vals = np.array(vals, dtype=float)
+            vals = vals[:, None]
         vals.setflags(write=False)
         object.__setattr__(self, "per_index", vals)
-        if vals.ndim != 2 or vals.shape[0] < 1 or vals.shape[1] != len(self.grid):
-            raise StatsError("per_index must be (count, grid size)")
+        if vals.ndim != 2 or vals.shape[0] < 1 or vals.shape[1] not in (1, len(self.grid)):
+            raise StatsError("per_index must be (count, grid size) or (count, 1)")
         if not np.all(np.isfinite(vals)):
             raise StatsError("variance entries must be finite")
         if np.any(vals < 0.0):
@@ -66,8 +68,11 @@ class VarianceSchedule:
 
     @classmethod
     def from_family(cls, family, n: int) -> "VarianceSchedule":
-        """Analytic schedule of a sampling family at sequence length n."""
-        return cls(family.grid, family.variances(n))
+        """Analytic schedule of a family V_k = s_k T at sequence length n: the
+        one column Var(s_k) * max_u h_T(u)^2.  Each Var h(V_k, u) is
+        Var(s_k) h_T(u)^2 with Var(s_k) >= 0, and rounding is monotone, so
+        every condition's maximum over directions is this column, bit for bit."""
+        return cls(family.grid, _variance_terms(family._scale_variances(n), family._norm))
 
     @classmethod
     def empirical(cls, replications: Sequence[SetSample],

@@ -107,3 +107,15 @@ def ellipsoid_boundary_support(center, semi_axes, direction,
     z /= np.linalg.norm(z, axis=1, keepdims=True)
     pts = np.asarray(center) + z * np.asarray(semi_axes)
     return float((pts @ np.asarray(direction)).max())
+
+
+def variance_table(family, n: int) -> np.ndarray:
+    """(n, m) Var h(V_k, u) = Var(s_k) h_T(u)^2 of a family V_k = s_k T, one
+    column per grid direction: the full table a family's one-column schedule
+    stands for.  An h_T(u)^2 that overflows gives inf, except where
+    Var(s_k) = 0, which gives 0 however large the body."""
+    v = family._scale_variances(n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.outer(v, family._row ** 2)
+    out[v == 0.0] = 0.0
+    return out

@@ -22,7 +22,6 @@ from setlaw import (
     SllnConfig,
     VarianceSchedule,
     WllnConfig,
-    compare_bound,
     evaluate_variance_condition,
     hausdorff_distance,
     make_direction_grid,
@@ -122,8 +121,7 @@ def test_criterion_4_wlln_bound():
     family = EllipsoidIntervalFamily((1.0,))
     config = WllnConfig(family, (10, 100, 1000), 0.5, 10_000, SeedSpec(1005))
     report = run_wlln(config)
-    rows = compare_bound(report)
-    bound_ok = all(row["ok"] for row in rows)
+    bound_ok = all(row.bound_ok for row in report.rows)
     final_count = int(np.count_nonzero(report.detail[1000] > config.epsilon))
     elapsed = time.perf_counter() - t0
     _report(bound_ok and final_count == 0 and elapsed < 60.0,
@@ -142,7 +140,7 @@ def test_criterion_4_negative_control_bound_check_can_fail():
     assert family.chebyshev_bound(n, epsilon) == pytest.approx(0.05)
     report = run_wlln(WllnConfig(family, (n,), epsilon, 2000, SeedSpec(1012)))
     row = report.rows[0]
-    _report(row.bound_ok is False and not compare_bound(report)[0]["ok"],
+    _report(row.bound_ok is False,
             f"criterion 4 negative control: ar1 rho=0.9 exceedance "
             f"{row.exceed_freq:.3g} vs bound {row.bound:.3g} flagged (ok={row.bound_ok})")
 

@@ -418,6 +418,28 @@ def test_huge_grid_count_is_one_line_error_before_it_allocates(tmp_path):
     assert not (tmp_path / "o").exists()
 
 
+def test_family_condition_on_a_fine_grid_runs_in_one_gib(tmp_path):
+    # a child limited to 1 GiB of address space: a (length, grid_count)
+    # variance table would take 625 MiB and its cumulative sum as much again;
+    # the family's schedule is one column of 20000 values
+    import resource
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("command = check-cond\nkind = wlln_eq4\nfamily = scaled_iid\n"
+                   "body = box 2 -1 -0.5 1 2\ngrid_scheme = uniform_angles_2d\n"
+                   "grid_count = 4096\nlength = 20000\n")
+    result = subprocess.run([sys.executable, "-m", "setlaw", "--config", str(cfg),
+                             "--out", str(tmp_path / "o")],
+                            capture_output=True, text=True, preexec_fn=limit)
+    assert result.returncode == 0, result.stderr
+    assert "satisfied=yes" in result.stdout
+    rows = (tmp_path / "o" / "condition.csv").read_text(encoding="utf-8").splitlines()
+    assert len(rows) == 20001  # a header and one row per index
+
+
 def test_strong_law_on_a_huge_body_runs(tmp_path, capsys):
     """Its variances are 1e308 / 12, but its variance sums stay finite."""
     cfg = tmp_path / "run.cfg"

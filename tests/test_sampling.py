@@ -20,6 +20,8 @@ from setlaw import (
     ScaledTemplateFamily,
     SeedSpec,
     SetSample,
+    VarianceSchedule,
+    evaluate_variance_condition,
     format_body,
     interval_family_variances,
     make_direction_grid,
@@ -32,6 +34,7 @@ from setlaw import (
     write_set_sample,
     Direction,
 )
+import oracles
 from setlaw import sampling
 from setlaw.harness import _STREAM_SHIFT, _wlln_chunk, _wlln_constants
 from setlaw.sampling import (
@@ -272,7 +275,7 @@ def test_ellipsoid_interval_family_rejects_empty_lengths(block_dim, n):
     with pytest.raises(FamilyError, match="length"):
         fam.sample(n, SeedSpec(1))
     with pytest.raises(FamilyError, match="length"):
-        fam.variances(n)
+        VarianceSchedule.from_family(fam, n)
 
 
 def test_set_sample_validation():
@@ -343,7 +346,7 @@ def test_filled_cache_keeps_family_equality_hash_and_pickle():
     b = EllipsoidIntervalFamily((1.0, 2.0), 8)
     size = len(pickle.dumps(a))
     a.support_draws(50, SeedSpec(3).generator())
-    a.variances(50)
+    VarianceSchedule.from_family(a, 50)  # reads the grid norm, which is not cached
     assert a._spec_for(50) is b._spec_for(50)
     # same pattern and draw dimension, but only the regenerated spec is clamped
     regen = EllipsoidIntervalFamily((1.0, 5.0))._spec_for(16)
@@ -722,10 +725,32 @@ def test_family_bodies_are_built_when_read_as_scales_times_the_body(name, monkey
 
 @pytest.mark.parametrize("name", sorted(_SAMPLE_FAMILIES))
 def test_draws_and_moments_are_scales_times_the_support_row(name):
-    # the draws are pinned by test_family_sample_carries_its_support_block_draw
+    # the draws are pinned by test_family_sample_carries_its_support_block_draw;
+    # the schedule is the largest column of Var(s_k) h_T(u)^2, bit for bit
     fam = _SAMPLE_FAMILIES[name]
-    got, want = fam.variances(9), np.outer(fam._scale_variances(9), fam._row ** 2)
-    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    got = VarianceSchedule.from_family(fam, 9).per_index
+    want = oracles.variance_table(fam, 9).max(axis=1, keepdims=True)
+    assert got.shape == want.shape == (9, 1) and got.tobytes() == want.tobytes()
+    norm = fam._norm
+    assert norm.tobytes() == np.abs(fam._row).max().tobytes()
+    assert got[:, 0].tobytes() == (fam._scale_variances(9) * (norm * norm)).tobytes()
+
+
+_BOUNDS = {"wlln_eq4": None, "slln_log2": None, "slln_bounded": 0.05}
+
+
+@pytest.mark.parametrize("n", [2, 17, 1000])
+@pytest.mark.parametrize("name", sorted(_SAMPLE_FAMILIES))
+def test_one_column_schedule_decides_as_the_full_table(name, n):
+    fam = _SAMPLE_FAMILIES[name]
+    column = VarianceSchedule.from_family(fam, n)
+    table = VarianceSchedule(fam.grid, oracles.variance_table(fam, n))
+    assert table.per_index.shape == (n, len(fam.grid))
+    for kind, bound in _BOUNDS.items():
+        got = evaluate_variance_condition(column, kind, bound=bound)
+        want = evaluate_variance_condition(table, kind, bound=bound)
+        assert got.trajectory.tobytes() == want.trajectory.tobytes()
+        assert (got.satisfied, got.note) == (want.satisfied, want.note)
 
 
 def test_deterministic_sample_keeps_the_body_as_given(tmp_path):
@@ -749,9 +774,13 @@ def test_overflowing_growth_is_an_error_not_a_warning():
     squared = ScaledTemplateFamily(Interval(0, 1), growth=100.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert fam.variances(1).tolist() == [[1.0 / 12.0, 0.0]]
-        assert np.isfinite(squared.variances(34)).all()
-        for call, n in ((fam.variances, 10), (fam._mean_scales, 10), (squared.variances, 35)):
+        assert fam._scale_variances(1).tolist() == [1.0 / 12.0]
+        assert VarianceSchedule.from_family(fam, 1).per_index.tolist() == [[1.0 / 12.0]]
+        assert np.isfinite(squared._scale_variances(34)).all()
+        assert np.isfinite(VarianceSchedule.from_family(squared, 34).per_index).all()
+        for call, n in ((fam._scale_variances, 10), (fam._mean_scales, 10),
+                        (squared._scale_variances, 35),
+                        (lambda k: VarianceSchedule.from_family(squared, k), 35)):
             with pytest.raises(FamilyError, match="overflows"):
                 call(n)
         with pytest.raises(FamilyError, match="overflows"):

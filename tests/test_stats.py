@@ -384,10 +384,13 @@ def test_empirical_schedule_approximates_analytic_variances():
     fam = EllipsoidIntervalFamily((1.0,), block_dim=4)
     reps = [fam.sample(4, SeedSpec(40, r)) for r in range(5000)]
     schedule = VarianceSchedule.empirical(reps)
-    analytic = fam.variances(4)
+    # the analytic column is Var(Y_k) h_T(+1)^2 = Var(Y_k), the largest of
+    # the two; h_T(-1) = 0 gives the other direction variance 0
+    analytic = VarianceSchedule.from_family(fam, 4).per_index
+    assert analytic.shape == (4, 1) and schedule.per_index.shape == (4, 2)
     # SE of a sample variance is roughly Var * sqrt(2/R); allow 6 of those
-    slack = 6.0 * analytic[:, 0].max() * math.sqrt(2.0 / 5000.0)
-    assert np.all(np.abs(schedule.per_index - analytic) <= slack)
+    slack = 6.0 * analytic.max() * math.sqrt(2.0 / 5000.0)
+    assert np.all(np.abs(schedule.per_index - analytic * fam._row ** 2) <= slack)
 
 
 # -- array-based support tensor and uncorrelation test ----------------------------
