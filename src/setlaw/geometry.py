@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import combinations, product
+from itertools import combinations
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -662,25 +662,19 @@ def _hull_prune(vertices: np.ndarray) -> np.ndarray:
     def cross(o, a, b):
         return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
-    lower: list[np.ndarray] = []
-    for p in pts:
+    rows = pts.tolist()  # indexing numpy scalars costs about 3x as much
+    lower: list[list[float]] = []
+    for p in rows:
         while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0.0:
             lower.pop()
         lower.append(p)
-    upper: list[np.ndarray] = []
-    for p in pts[::-1]:
+    upper: list[list[float]] = []
+    for p in reversed(rows):
         while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0.0:
             upper.pop()
         upper.append(p)
-    hull = lower[:-1] + upper[:-1]
-    if not hull:  # all points collinear were popped down to endpoints
-        hull = [pts[0], pts[-1]]
-    return np.array(hull)
-
-
-# The 26 directions {-1, 0, 1}^3 \ {0}, whose maximizers span the body
-# that a 3-D vertex set is filtered against.
-_PROBES_3D = _readonly([p for p in product((-1.0, 0.0, 1.0), repeat=3) if any(p)])
+    # each chain keeps its two ends, so the hull has at least two rows
+    return np.array(lower[:-1] + upper[:-1])
 
 
 def _drop_interior(points: np.ndarray) -> np.ndarray:
@@ -699,28 +693,62 @@ def _drop_interior(points: np.ndarray) -> np.ndarray:
     above the rounding of the inner products.  Planes and heights are
     computed on the points scaled by a power of two (exactly) to below 1 in
     magnitude, so that no product overflows.
+
+    The probes, {-1, 0, 1}^3 less the origin, come in 13 pairs +-p.  Each p
+    is evaluated as its signed coordinate sum (x2, x1 - x2, (x0 + x1) - x2,
+    ...), whose value equals the coordinate-by-coordinate inner product of
+    :func:`_inner` up to the sign of a zero: a factor +-1 is exact, and
+    adding a zero leaves a nonzero value unchanged.  ``argmax`` and
+    ``argmin``, which take -0.0 and 0.0 as equal, therefore pick the
+    maximizers of +p and of -p that the inner products pick.  Cross
+    products and norms are written out in ``np.cross``'s and
+    ``np.linalg.norm``'s own order.  An orientation is accepted by
+    max(heights) - base <= slack, or min(heights) - base >= -slack for the
+    opposite one; rounding is monotone, so these are the max and min of
+    heights - base.  A plane with one row of E above it by more than slack
+    and another below it by more than slack fails both tests; the six rows
+    of E extreme along the axes find most such planes, one row at a time,
+    so the heights of all of E are taken only for the rest.  Each height of
+    one row, and each base (the height of e1), is summed as :func:`_inner`
+    sums it.  The keep test runs planes-major, one block of rows at a time.
     """
-    _, exponent = np.frexp(np.abs(points).max())
+    mantissa, exponent = np.frexp(np.abs(points).max())  # mantissa = max |coords|
     coords = np.ascontiguousarray(np.ldexp(points.T, -exponent))
+    x0, x1, x2 = coords
+    plus, minus = x0 + x1, x0 - x1
+    sums = np.stack([x0, x1, x2, x1 + x2, x1 - x2, x0 + x2, x0 - x2, plus, minus,
+                     plus + x2, plus - x2, minus + x2, minus - x2])
+    top, bottom = sums.argmax(axis=1), sums.argmin(axis=1)
     maximizer = np.zeros(len(points), dtype=bool)
-    maximizer[np.argmax(_inner(coords, _PROBES_3D.T), axis=0)] = True
+    maximizer[top] = True
+    maximizer[bottom] = True
     probed = coords[:, maximizer]
     if probed.shape[1] < 4:
         return points
     r = np.arange(probed.shape[1])
     i, j, k = np.nonzero((r[:, None, None] < r[:, None]) & (r[:, None] < r))  # i < j < k
-    a, b = probed[:, j] - probed[:, i], probed[:, k] - probed[:, i]
-    normals = np.cross(a, b, axis=0)
-    slack = 1e-9 * np.abs(coords).max() * np.linalg.norm(a, axis=0) * np.linalg.norm(b, axis=0)
+    first = probed.take(i, axis=1)
+    a0, a1, a2 = probed.take(j, axis=1) - first
+    b0, b1, b2 = probed.take(k, axis=1) - first
+    normals = np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+    slack = (1e-9 * mantissa * np.sqrt((a0 * a0 + a1 * a1) + a2 * a2)
+             * np.sqrt((b0 * b0 + b1 * b1) + b2 * b2))
+    base = (first[0] * normals[0] + first[1] * normals[1]) + first[2] * normals[2]
+    above = below = np.zeros(len(base), dtype=bool)
+    for e0, e1, e2 in coords[:, np.concatenate([top[:3], bottom[:3]])].T.tolist():
+        height = (e0 * normals[0] + e1 * normals[1]) + e2 * normals[2] - base
+        above = above | (height > slack)
+        below = below | (height < -slack)
+    live = ~(above & below)
+    normals, base, slack = normals[:, live], base[live], slack[live]
     heights = _inner(probed, normals)
-    base = heights[i, np.arange(len(i))]
-    above = heights - base
-    up, down = above.max(axis=0) <= slack, above.min(axis=0) >= -slack
+    up = heights.max(axis=0) - base <= slack
+    down = heights.min(axis=0) - base >= -slack
     normals = np.concatenate([normals[:, up], -normals[:, down]], axis=1)
     floor = np.concatenate([base[up] - slack[up], -base[down] - slack[down]])
     keep = np.empty(len(points), dtype=bool)
-    for rows in _row_blocks(len(points), len(floor)):
-        keep[rows] = np.any(_inner(coords[:, rows], normals) >= floor, axis=1)
+    for cols in _row_blocks(len(points), len(floor)):
+        keep[cols] = (_inner(normals, coords[:, cols]) >= floor[:, None]).any(axis=0)
     return points[keep]
 
 

@@ -2,10 +2,14 @@
 
 Everything here deliberately avoids the library's computation paths:
 hulls, distances, and moments are recomputed from first principles so
-that agreement is evidence, not circularity.
+that agreement is evidence, not circularity.  The ``*_reference``
+functions are the exception: plain forms of library steps whose faster
+forms must return the same bytes.
 """
 
 from __future__ import annotations
+
+from itertools import product
 
 import numpy as np
 
@@ -32,21 +36,6 @@ def hull_ccw(points: np.ndarray) -> np.ndarray:
     return np.array(lower[:-1] + upper[:-1])
 
 
-def boundary_points(hull: np.ndarray, total: int) -> np.ndarray:
-    """Dense samples along a CCW polygon boundary, vertices included."""
-    nxt = np.roll(hull, -1, axis=0)
-    lengths = np.linalg.norm(nxt - hull, axis=1)
-    perimeter = lengths.sum()
-    if perimeter == 0.0:
-        return hull.copy()
-    pieces = [hull]
-    for a, b, ln in zip(hull, nxt, lengths):
-        count = max(1, int(round(total * ln / perimeter)))
-        t = np.arange(1, count)[:, None] / count
-        pieces.append(a + t * (b - a))
-    return np.concatenate(pieces)
-
-
 def dist_points_to_polygon(points: np.ndarray, hull: np.ndarray) -> np.ndarray:
     """Euclidean distance from each point to a convex CCW polygon (0 inside)."""
     pts = np.asarray(points, dtype=float)
@@ -71,19 +60,84 @@ def dist_points_to_polygon(points: np.ndarray, hull: np.ndarray) -> np.ndarray:
     return best
 
 
-def polygon_hausdorff(hull_a: np.ndarray, hull_b: np.ndarray,
-                      samples: int = 100_000) -> float:
-    """Two-sided Hausdorff distance via dense boundary sampling.
+def polygon_hausdorff(hull_a: np.ndarray, hull_b: np.ndarray) -> float:
+    """Two-sided Hausdorff distance of two convex CCW polygons.
 
-    The sup of the distance-to-other-set over a convex polygon is attained
-    at a vertex, and vertices are included in the samples, so the max side
-    is exact; the point-to-polygon distances are exact by construction.
+    The distance to a convex set is a convex function, so its sup over a
+    convex polygon is attained at a vertex; the point-to-polygon distances
+    are exact by construction.
     """
-    pts_a = boundary_points(hull_a, samples // 2)
-    pts_b = boundary_points(hull_b, samples // 2)
-    d_ab = dist_points_to_polygon(pts_a, hull_b).max()
-    d_ba = dist_points_to_polygon(pts_b, hull_a).max()
+    d_ab = dist_points_to_polygon(hull_a, hull_b).max()
+    d_ba = dist_points_to_polygon(hull_b, hull_a).max()
     return float(max(d_ab, d_ba))
+
+
+def hull_prune_reference(vertices: np.ndarray) -> np.ndarray:
+    """The monotone chain of ``setlaw.geometry._hull_prune`` on numpy rows and
+    numpy scalars: the same floating-point operations, so the same bytes."""
+    if vertices.shape[1] == 1:
+        lo, hi = float(vertices.min()), float(vertices.max())
+        return np.array([[lo]]) if lo == hi else np.array([[lo], [hi]])
+    pts = np.unique(vertices, axis=0)
+    if len(pts) <= 2:
+        return pts
+
+    def cross(o, a, b):
+        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+    lower = []
+    for p in pts:
+        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0.0:
+            lower.pop()
+        lower.append(p)
+    upper = []
+    for p in pts[::-1]:
+        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0.0:
+            upper.pop()
+        upper.append(p)
+    hull = lower[:-1] + upper[:-1]
+    if not hull:
+        hull = [pts[0], pts[-1]]
+    return np.array(hull)
+
+
+def _inner(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """(k, m) inner products of the columns of P (d, k) and Q (d, m), summed
+    coordinate by coordinate."""
+    out = np.multiply.outer(P[0], Q[0])
+    for c in range(1, len(P)):
+        out += np.multiply.outer(P[c], Q[c])
+    return out
+
+
+_PROBES_3D = np.array([p for p in product((-1.0, 0.0, 1.0), repeat=3) if any(p)])
+
+
+def drop_interior_reference(points: np.ndarray) -> np.ndarray:
+    """The interior drop of ``setlaw.geometry._drop_interior`` in its plain
+    form: the 26 probes as one (N, 26) inner-product table, ``np.cross`` and
+    ``np.linalg.norm``, the acceptance test on heights - base, and a rows-major
+    keep test.  The library's form must keep the same rows, byte for byte."""
+    _, exponent = np.frexp(np.abs(points).max())
+    coords = np.ascontiguousarray(np.ldexp(points.T, -exponent))
+    maximizer = np.zeros(len(points), dtype=bool)
+    maximizer[np.argmax(_inner(coords, _PROBES_3D.T), axis=0)] = True
+    probed = coords[:, maximizer]
+    if probed.shape[1] < 4:
+        return points
+    r = np.arange(probed.shape[1])
+    i, j, k = np.nonzero((r[:, None, None] < r[:, None]) & (r[:, None] < r))  # i < j < k
+    a, b = probed[:, j] - probed[:, i], probed[:, k] - probed[:, i]
+    normals = np.cross(a, b, axis=0)
+    slack = 1e-9 * np.abs(coords).max() * np.linalg.norm(a, axis=0) * np.linalg.norm(b, axis=0)
+    heights = _inner(probed, normals)
+    base = heights[i, np.arange(len(i))]
+    above = heights - base
+    up, down = above.max(axis=0) <= slack, above.min(axis=0) >= -slack
+    normals = np.concatenate([normals[:, up], -normals[:, down]], axis=1)
+    floor = np.concatenate([base[up] - slack[up], -base[down] - slack[down]])
+    keep = np.any(_inner(coords, normals) >= floor, axis=1)
+    return points[keep]
 
 
 def random_convex_polygon(rng: np.random.Generator, center, radius: float,

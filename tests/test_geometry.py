@@ -2,9 +2,12 @@ import math
 import os
 import subprocess
 import sys
+from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from setlaw import (
     Box,
@@ -27,7 +30,7 @@ from setlaw import (
     support_function,
     zero_body,
 )
-from setlaw.geometry import _unique_rows
+from setlaw.geometry import _drop_interior, _hull_prune, _unique_rows
 
 import oracles
 
@@ -262,6 +265,84 @@ def test_3d_sum_prune_drops_interior_sums_at_any_magnitude(case):
     assert len(raw) == 8 ** 4 and len(folded.vertices) < len(raw) // 4
 
 
+def _same_rows(got: np.ndarray, want: np.ndarray) -> bool:
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def _drops_match_reference(parts: list[np.ndarray]) -> bool:
+    """Whether every partial sum of the fold of ``parts`` keeps the
+    reference's rows."""
+    folded = Polytope(parts[0])
+    for part in parts[1:]:
+        sums = (folded.vertices[:, None, :] + part[None, :, :]).reshape(-1, 3)
+        if not _same_rows(_drop_interior(sums), oracles.drop_interior_reference(sums)):
+            return False
+        folded = minkowski_sum(folded, Polytope(part))
+    return True
+
+
+@pytest.mark.parametrize("case,seed", FOLD_CASES)
+def test_3d_interior_drop_keeps_the_reference_rows(case, seed):
+    assert _drops_match_reference(_fold_parts(case, seed))
+
+
+def test_3d_interior_drop_keeps_the_reference_rows_on_five_fold_gaussian_sums():
+    # five parts of eight N(0, 1) vertices, as the benchmark's folds
+    for seed in range(24):
+        rng = np.random.default_rng([seed, 5])
+        assert _drops_match_reference([rng.normal(size=(8, 3)) for _ in range(5)]), seed
+
+
+@st.composite
+def _clouds(draw) -> np.ndarray:
+    """Small 3-D point sets: integer-lattice rows, some repeated, perhaps with
+    a whole 5 x 5 x 5 block, whose inner rows are dropped; all of them on
+    one plane or one line or neither, with signed zeros, then scaled and
+    shifted.  Few distinct rows or a line give fewer than 4 probe maximizers."""
+    pool = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * 3), min_size=1, max_size=16))
+    if draw(st.booleans()):
+        pool += list(product(range(-2, 3), repeat=3))
+    repeats = draw(st.lists(st.integers(0, len(pool) - 1), max_size=20))
+    points = np.array(pool + [pool[i] for i in repeats], dtype=float)
+    shape = draw(st.sampled_from(["any", "any", "plane", "line"]))
+    if shape == "plane":
+        points[:, 2] = points[:, 0] - 2.0 * points[:, 1]
+    elif shape == "line":
+        points = points[:, :1] * np.array([1.0, -2.0, 3.0])
+    negative = np.random.default_rng(draw(st.integers(0, 255))).random(points.shape) < 0.5
+    points[negative & (points == 0.0)] = -0.0
+    points *= draw(st.sampled_from([1.0, 0.1, 2.0 ** -40, 1e6]))
+    shift = draw(st.sampled_from([0.0, 0.5, -3e3]))
+    return points + shift if shift else points
+
+
+@settings(max_examples=200, deadline=None)
+@given(_clouds())
+def test_3d_interior_drop_keeps_the_reference_rows_on_small_clouds(points):
+    assert _same_rows(_drop_interior(points), oracles.drop_interior_reference(points))
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "sum", "collinear", "duplicate", "signed-zero"])
+def test_2d_hull_prune_returns_the_reference_bytes(kind):
+    rng = np.random.default_rng([len(kind), 2])
+    for _ in range(60):
+        n = int(rng.integers(1, 120))
+        if kind == "gaussian":
+            points = rng.normal(size=(n, 2)) * 10.0 ** int(rng.integers(-3, 4))
+        elif kind == "sum":  # the vertex sums of two polygons
+            a, b = rng.normal(size=(int(rng.integers(1, 17)), 2)), rng.normal(size=(9, 2))
+            points = (a[:, None, :] + b[None, :, :]).reshape(-1, 2)
+        elif kind == "collinear":  # exactly, on one lattice line
+            points = rng.integers(-5, 6, size=(n, 1)) * rng.integers(-3, 4, size=2) + 0.5
+        elif kind == "duplicate":
+            points = rng.normal(size=(int(rng.integers(1, 6)), 2))
+            points = points[rng.integers(0, len(points), size=n)]
+        else:  # lattice points, many -0.0 beside 0.0
+            points = rng.integers(-2, 3, size=(n, 2)).astype(float)
+            points[rng.random((n, 2)) < 0.5] *= -1.0
+        assert _same_rows(_hull_prune(points), oracles.hull_prune_reference(points))
+
+
 def test_sum_dimension_mismatch():
     with pytest.raises(GeometryError):
         minkowski_sum(Interval(0, 1), Box((0.0, 0.0), (1.0, 1.0)))
@@ -349,7 +430,7 @@ def test_hausdorff_polygons_match_dense_oracle():
         hull_a = oracles.random_convex_polygon(rng, rng.uniform(-1, 1, 2), 1.0)
         hull_b = oracles.random_convex_polygon(rng, rng.uniform(-1, 1, 2) + 2.0, 1.0)
         got = hausdorff_distance(Polytope(hull_a), Polytope(hull_b), grid)
-        want = oracles.polygon_hausdorff(hull_a, hull_b, samples=20_000)
+        want = oracles.polygon_hausdorff(hull_a, hull_b)
         assert abs(got - want) <= 1e-2 * want
 
 
