@@ -539,7 +539,11 @@ def main(argv=None) -> int:
                         help="exit nonzero when an acceptance flag fails")
     args = parser.parse_args(argv)
     try:
-        text = Path(args.config).read_text(encoding="utf-8")
+        try:
+            text = Path(args.config).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config {args.config} is not UTF-8 text "
+                              f"(byte {exc.start}: {exc.reason})") from None
         config = parse_config(text)
         if args.seed is not None:
             config = replace(config, master_seed=args.seed)

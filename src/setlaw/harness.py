@@ -20,9 +20,9 @@ S_n / n = |mean(s_1..s_n) - mean(mu_1..mu_n)| * max_u |h_T(u)|.  So neither
 law builds a support table: a replication or a path costs O(n) floats,
 whatever the grid size.
 
-Replications and paths are the unit of parallelism: each derives its own
-counter-based stream from (master_seed, index), and aggregation runs in a
-fixed order, so outputs are byte-identical at any worker count.
+Replications and paths are the unit of parallelism: each reads stream
+(master_seed, index) from its worker thread's cursor, and aggregation runs
+in a fixed order, so outputs are byte-identical at any worker count.
 
 This module only computes: reports and plot curves go to files through
 ``setlaw.cli``, which writes every output.
@@ -39,7 +39,7 @@ from typing import Sequence
 import numpy as np
 
 from .geometry import _row_blocks
-from .sampling import SeedSpec, StreamCursor
+from .sampling import SeedSpec, _cursor
 from .stats import VarianceSchedule, evaluate_variance_condition
 
 _STREAM_SHIFT = 20          # replication r at length n uses stream (n << 20) | r
@@ -179,7 +179,7 @@ def _wlln_constants(family, n: int) -> tuple:
 def _wlln_chunk(args) -> np.ndarray:
     """Gaps S_n / n of replications lo..hi-1 (module docstring)."""
     family, n, master_seed, lo, hi, target, norm = args
-    cursor = StreamCursor(master_seed)
+    cursor = _cursor(master_seed)
     out = np.empty(hi - lo)
     for rows in _row_blocks(hi - lo, n):
         s = family._scales(
@@ -300,7 +300,7 @@ def _slln_chunk(args):
     for all its chunks."""
     (family, max_n, master_seed, lo, hi,
      cps, sq, mean_scales, norm, threshold, window) = args
-    cursor = StreamCursor(master_seed)
+    cursor = _cursor(master_seed)
     # path p reads stream p.  By the scale identity of the module docstring,
     # S_k = |sum_{j<=k} (s_j - mu_j)| times the grid norm max_u |h_T(u)|; the
     # interval family's row is (1, 0), so its S_k is the scale sum itself

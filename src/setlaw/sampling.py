@@ -19,12 +19,11 @@ own stream, once, front to back, and the transform to scales runs once
 for the whole block.  The one degenerate draw, an all-zero normal vector
 in the ellipsoid draw, takes the signs of its zeros instead of reading
 more.  A family's ``sample`` is one such draw: it holds its family and its
-scales, and builds body objects only when they are read.  It reads its
-stream through a ``StreamCursor``, one per thread, which puts one reused
-Philox generator at the start of any stream of a master seed instead of
-building a new one per call.  The grid rule, the support row and
-``describe``, the family's one label, live in the family base
-``_ScaledBody``.
+scales, and builds body objects only when they are read.  A draw computes
+its semi-axes and opens its streams at its thread's ``StreamCursor``, one
+reused Philox generator, so it reads no state that threads share.  The
+grid rule, the support row and ``describe``, the family's one label, live
+in the family base ``_ScaledBody``.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ import math
 import re
 import threading
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -82,7 +81,7 @@ class SeedSpec:
 
 class StreamCursor:
     """One Philox generator that can be put at the start of any stream of a
-    master seed.
+    master seed.  Draws read the one of their thread, from ``_cursor``.
 
     ``at(index)`` gives the stream of ``SeedSpec(master_seed, index).generator()``
     (key words ``[index, master_seed]``, counter zero, empty buffers) by
@@ -114,13 +113,13 @@ class StreamCursor:
 _thread = threading.local()
 
 
-def _stream(seed: SeedSpec) -> np.random.Generator:
-    """The generator of ``seed.generator()``, from this thread's cursor, which
-    is built on first use and again when the master seed changes."""
+def _cursor(master_seed: int) -> StreamCursor:
+    """This thread's cursor, built on first use and again when the master
+    seed changes: the library's one source of streams."""
     cursor = getattr(_thread, "cursor", None)
-    if cursor is None or cursor.master_seed != seed.master_seed:
-        cursor = _thread.cursor = StreamCursor(seed.master_seed)
-    return cursor.at(seed.stream_index)
+    if cursor is None or cursor.master_seed != master_seed:
+        cursor = _thread.cursor = StreamCursor(master_seed)
+    return cursor
 
 
 # A block's stream source: streams(i) is row i's generator at the start of
@@ -152,7 +151,7 @@ class EllipsoidFamilySpec:
 
     @cached_property
     def axes(self) -> np.ndarray:
-        """Semi-axes as a float array; read-only because specs are shared."""
+        """Semi-axes as a float array; read-only, as the spec is immutable."""
         axes = np.asarray(self.semi_axes, dtype=float)
         axes.flags.writeable = False
         return axes
@@ -233,18 +232,20 @@ def sample_ellipsoid_uniform(spec: EllipsoidFamilySpec, count: int,
     """
     if count < 1:
         raise FamilyError("count must be >= 1")
-    return _ellipsoid_block(spec, count, lambda _row: seed.generator(), 1)[0]
+    rng = _cursor(seed.master_seed).at(seed.stream_index)
+    return _ellipsoid_block(spec.axes, count, lambda _row: rng, 1)[0]
 
 
-def _ellipsoid_block(spec: EllipsoidFamilySpec, count: int, streams: Streams,
+def _ellipsoid_block(axes: np.ndarray, count: int, streams: Streams,
                      size: int) -> np.ndarray:
-    """(size, count, dim) uniform ellipsoid draws; row i draws from ``streams(i)``.
+    """(size, count, dim) uniform draws from the ellipsoid of semi-axes ``axes``;
+    row i draws from ``streams(i)``.
 
     Each row's normals and then its uniforms come from its own stream, and
     the transform runs once for the block, so a row's values are those of
     a block of one.
     """
-    n = spec.dim
+    n = len(axes)
     z = np.empty((size, count, n))
     u = np.empty((size, count))
     for i in range(size):
@@ -262,11 +263,11 @@ def _ellipsoid_block(spec: EllipsoidFamilySpec, count: int, streams: Streams,
     # in place, in the order of z / norms * u**(1/n) * axes, which fixes the bits
     z /= norms
     z *= (u ** (1.0 / n))[..., None]
-    z *= spec.axes
+    z *= axes
     return z
 
 
-def _shifted_block(spec: EllipsoidFamilySpec, count: int, streams: Streams,
+def _shifted_block(axes: np.ndarray, count: int, streams: Streams,
                    size: int) -> np.ndarray:
     """(size, count) nonnegative coordinates Y = X + a across independent blocks.
 
@@ -274,8 +275,8 @@ def _shifted_block(spec: EllipsoidFamilySpec, count: int, streams: Streams,
     within a block the coordinates are uncorrelated but coupled.  A row
     holds the first ``count`` values in draw order.
     """
-    x = _ellipsoid_block(spec, -(-count // spec.dim), streams, size)
-    x += spec.axes  # x is this call's own array
+    x = _ellipsoid_block(axes, -(-count // len(axes)), streams, size)
+    x += axes  # x is this call's own array
     return x.reshape(size, -1)[:, :count]
 
 
@@ -284,8 +285,13 @@ def interval_family_variances(spec: EllipsoidFamilySpec) -> np.ndarray:
 
     An a_i^2 that overflows gives inf, which a variance schedule refuses.
     """
+    return _endpoint_variances(spec.axes)
+
+
+def _endpoint_variances(axes: np.ndarray) -> np.ndarray:
+    """a_i^2 / (dim + 2) for the ellipsoid of semi-axes ``axes``."""
     with np.errstate(over="ignore"):
-        return spec.axes ** 2 / (spec.dim + 2.0)
+        return axes ** 2 / (len(axes) + 2.0)
 
 
 def sample_ellipse_pair(a: float, b: float, center: tuple[float, float],
@@ -394,12 +400,12 @@ class _ScaledBody:
     def sample(self, count: int, seed: SeedSpec) -> SetSample:
         """``count`` bodies drawn from stream ``seed``: the scales of the draw
         ``support_draws`` makes, with the bodies built when first read.  The
-        stream is read through this thread's cursor, so a loop of samples
-        builds no generator per call."""
+        stream opens at this thread's cursor, so a loop of samples builds no
+        generator per call."""
         if count < 1:
             raise FamilyError(f"sequence length must be >= 1, got {count}")
-        return SetSample._drawn(self, self._scales(count, lambda _row: _stream(seed), 1)[0],
-                                seed)
+        rng = _cursor(seed.master_seed).at(seed.stream_index)
+        return SetSample._drawn(self, self._scales(count, lambda _row: rng, 1)[0], seed)
 
     def _bodies(self, scales: np.ndarray) -> tuple[ConvexBody, ...]:
         """The bodies s_k T of one draw."""
@@ -430,23 +436,6 @@ def _cycle(a: np.ndarray, n: int) -> np.ndarray:
     """The first n values of ``a`` repeated, as ``np.resize(a, n)`` gives them,
     in about a tenth of its time."""
     return np.tile(a, -(-n // len(a)))[:n]
-
-
-@lru_cache(maxsize=64)
-def _interval_spec(axes_pattern: tuple[float, ...], d: int,
-                   clamp: bool) -> EllipsoidFamilySpec:
-    """d-axis spec cycling ``axes_pattern``, clamped to sqrt(d) if asked.
-
-    Cached because the weak-law harness asks for a spec once per row block:
-    the README ``wlln`` config makes 752 lookups for 3 specs, an n = 1000
-    spec costs 250-290 us to build, and the cache takes that run from 0.72
-    to 0.54 s (one worker, best of 4, on a 2-CPU box).  Specs are immutable,
-    so worker threads share them; two that miss at once build equal specs.
-    """
-    axes = _cycle(np.asarray(axes_pattern), d)
-    if clamp:
-        axes = np.minimum(axes, math.sqrt(d))
-    return EllipsoidFamilySpec(tuple(axes))
 
 
 # supports of [0, 1] on {+1, -1}, with +0.0 at -1 where ``support_values`` gives
@@ -482,33 +471,35 @@ class EllipsoidIntervalFamily(_ScaledBody):
         if self.block_dim is not None and self.block_dim < 1:
             raise FamilyError("block_dim must be >= 1 when given")
 
-    def _spec_for(self, n: int) -> EllipsoidFamilySpec:
+    def _draw_axes(self, n: int) -> np.ndarray:
+        """Semi-axes of the ellipsoid a length-n draw uses: the pattern cycled
+        to ``block_dim``, or, regenerated, cycled to n and clamped to sqrt(n)."""
         if n < 1:
             raise FamilyError(f"sequence length must be >= 1, got {n}")
-        if self.block_dim is None:
-            return _interval_spec(self.axes_pattern, n, True)
-        return _interval_spec(self.axes_pattern, self.block_dim, False)
+        if self.block_dim is not None:
+            return _cycle(np.array(self.axes_pattern), self.block_dim)
+        return np.minimum(_cycle(np.array(self.axes_pattern), n), math.sqrt(n))
 
     def axes_for(self, n: int) -> np.ndarray:
         """Semi-axes actually used for positions 1..n (cycled over blocks)."""
-        return _cycle(self._spec_for(n).axes, n)
+        return _cycle(self._draw_axes(n), n)
 
     def describe(self, n: int) -> str:
-        spec = self._spec_for(n)
+        draw_dim = len(self._draw_axes(n))
         # regenerated mode always applies the clamp rule, even if it only
         # bites at lengths below the one being described
         mode = f"block_dim={self.block_dim}" if self.block_dim else "regenerated"
         note = " axes=min(pattern, sqrt(n))" if self.block_dim is None else ""
-        return f"ellipsoid_interval a={self.axes_pattern} {mode} draw_dim={spec.dim}{note}"
+        return f"ellipsoid_interval a={self.axes_pattern} {mode} draw_dim={draw_dim}{note}"
 
     def _scales(self, n: int, streams: Streams, size: int) -> np.ndarray:
-        return _shifted_block(self._spec_for(n), n, streams, size)
+        return _shifted_block(self._draw_axes(n), n, streams, size)
 
     def _mean_scales(self, n: int) -> np.ndarray:
         return self.axes_for(n)
 
     def _scale_variances(self, n: int) -> np.ndarray:
-        return _cycle(interval_family_variances(self._spec_for(n)), n)
+        return _cycle(_endpoint_variances(self._draw_axes(n)), n)
 
     # bound here by name: the benchmark's trace wraps this class's own support_draws
     support_draws = _ScaledBody.support_draws
@@ -656,8 +647,11 @@ _SAMPLE_HEADER = re.compile(r"# setlaw-sample family=(.+) master_seed=(\d+|\?) "
 
 def read_set_sample(path) -> SetSample:
     """Inverse of :func:`write_set_sample`; the header's count and dim must hold."""
-    with open(path, encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = [ln.strip() for ln in fh if ln.strip()]
+    except UnicodeDecodeError as exc:
+        raise FamilyError(f"sample file {path} is not UTF-8 text: {exc.reason}") from None
     header = _SAMPLE_HEADER.fullmatch(lines[0]) if lines else None
     if header is None:
         raise FamilyError("sample file must start with the header write_set_sample writes")

@@ -173,3 +173,17 @@ def variance_table(family, n: int) -> np.ndarray:
         out = np.outer(v, family._row ** 2)
     out[v == 0.0] = 0.0
     return out
+
+
+def interval_spec_reference(pattern, block_dim, n: int):
+    """The ``EllipsoidFamilySpec`` of ``EllipsoidIntervalFamily(pattern, block_dim)``'s
+    draw at length n, by the rule of the spec cache the family once kept: the
+    pattern cycled to the draw dimension (``block_dim``, or n when
+    regenerated), clamped to sqrt(n) when regenerated, and built from the
+    tuple of the result."""
+    from setlaw import EllipsoidFamilySpec
+    d = n if block_dim is None else block_dim
+    axes = np.resize(np.asarray(pattern, dtype=float), d)
+    if block_dim is None:
+        axes = np.minimum(axes, np.sqrt(float(d)))
+    return EllipsoidFamilySpec(tuple(axes))

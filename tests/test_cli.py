@@ -360,6 +360,14 @@ def _one_error_line(result) -> str:
     return err[0]
 
 
+def test_config_that_is_not_utf8_is_one_line_error(tmp_path):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"command = hausdorff\nbody_a = interval 0 1\nbody_b = interval 0 \xff\n")
+    result = _run_cli(["--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert f"config {cfg} is not UTF-8 text (byte 62: " in _one_error_line(result)
+    assert not (tmp_path / "o").exists()
+
+
 def test_negative_grid_seed_is_one_line_error(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("command = test-uncorr\nseed = 1\nfamily = scaled_iid\n"

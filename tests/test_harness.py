@@ -3,6 +3,7 @@ import csv
 import math
 import os
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from setlaw import (
     run_wlln,
 )
 import oracles
-from setlaw import harness
+from setlaw import harness, sampling
 from setlaw.cli import write_slln_detail_csv
 from setlaw.geometry import _row_blocks
 from setlaw.harness import _STREAM_SHIFT, _bound_ok
@@ -394,15 +395,19 @@ def _report_bytes(report):
     return report.rows, [(k, np.asarray(v).tobytes()) for k, v in report.detail.items()]
 
 
+def _drop_cursor():
+    """Drop the calling thread's stream cursor, so that its next draw builds one."""
+    vars(sampling._thread).pop("cursor", None)
+
+
 @pytest.mark.parametrize("name", sorted(_fresh_families()))
 def test_threads_fill_cold_caches_without_changing_bytes(name, monkeypatch):
-    # every lazy value a chunk reads (a family's _row, a spec's axes, the
-    # _interval_spec cache) starts empty, so the threads fill it themselves
-    # (in a bare chunk map only the spec cache and axes: the constants read _row)
-    from setlaw import sampling
+    # every lazy value a chunk reads (a family's _row, the thread's stream
+    # cursor) starts empty, so the threads fill it themselves (in a bare chunk
+    # map only the cursor: the constants read _row)
 
     def cold(threads, run):
-        sampling._interval_spec.cache_clear()
+        _drop_cursor()
         return run(_fresh_families()[name], threads)
 
     def laws(family, threads):
@@ -414,11 +419,10 @@ def test_threads_fill_cold_caches_without_changing_bytes(name, monkeypatch):
     checkpoints = SllnConfig(EllipsoidIntervalFamily(), 100, 1, SEED).checkpoints
 
     def chunks(family, threads):
-        # the chunks alone: no run fills the caches before the pool starts, and
-        # the spec the constants' mean scales cached is dropped again, so each
-        # worker's first _scales misses
+        # the chunks alone: no run builds a cursor before the pool starts, and
+        # the caller's is dropped, so each worker's first chunk builds its own
         constants = harness._slln_constants(family, 100, checkpoints, 0.05, 5)
-        sampling._interval_spec.cache_clear()
+        _drop_cursor()
         work = [(family, 100, 5, lo, lo + 2, *constants) for lo in range(0, 16, 2)]
         return [[part.tobytes() for part in parts]
                 for parts in harness._map_chunks(harness._slln_chunk, work, threads)]
@@ -431,6 +435,56 @@ def test_threads_fill_cold_caches_without_changing_bytes(name, monkeypatch):
         assert cold(4, chunks) == cold(1, chunks)
     finally:
         sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("threads", [1, 2, 4])
+@pytest.mark.parametrize("law", ["wlln", "slln"])
+def test_chunk_map_builds_at_most_one_cursor_per_worker_thread(law, threads, monkeypatch):
+    fam = EllipsoidIntervalFamily((1.0, 2.0), block_dim=7)
+    if law == "wlln":
+        func, size = harness._wlln_chunk, harness._WLLN_CHUNK
+        constants = harness._wlln_constants(fam, 10)
+        head = (fam, 10, 5)
+    else:
+        func, size = harness._slln_chunk, harness._SLLN_CHUNK
+        checkpoints = SllnConfig(fam, 100, 1, SEED).checkpoints
+        constants = harness._slln_constants(fam, 100, checkpoints, 0.05, 5)
+        head = (fam, 100, 5)
+    chunks = [(*head, lo, lo + size, *constants) for lo in range(0, 8 * size, size)]
+    built = []
+    original = sampling.StreamCursor.__init__
+
+    def spy(self, master_seed):
+        built.append(threading.get_ident())
+        original(self, master_seed)
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    _drop_cursor()
+    monkeypatch.setattr(sampling.StreamCursor, "__init__", spy)
+    harness._map_chunks(func, chunks, threads)
+    # the pool's threads all live until the map ends, so their idents differ
+    assert len(set(built)) == len(built) and 1 <= len(built) <= threads
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_runs_after_another_draw_on_the_thread_give_a_cold_runs_bytes(threads, monkeypatch):
+    fam = EllipsoidIntervalFamily((0.3, 1.7, 1.1), block_dim=7)
+
+    def laws(master):
+        slln = run_slln(SllnConfig(fam, 100, 20, SeedSpec(master)), threads=threads)
+        wlln = run_wlln(WllnConfig(fam, (10, 100), 0.5, 600, SeedSpec(master)),
+                        threads=threads)
+        return _report_bytes(slln), _report_bytes(wlln)
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    _drop_cursor()
+    cold = laws(5)
+    # a run and a sample at another master seed, and a sample that leaves the
+    # cursor mid-stream at this one
+    for before in (lambda: laws(6), lambda: fam.sample(9, SeedSpec(6, 3)),
+                   lambda: fam.sample(9, SeedSpec(5, 3))):
+        before()
+        assert laws(5) == cold
 
 
 # -- strong-law chunk against the pre-vectorization loop -----------------------

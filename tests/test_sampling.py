@@ -252,6 +252,14 @@ def test_sample_file_round_trip_keeps_the_family_tag(family, tmp_path):
         (sample.family_tag, sample.seed, sample.bodies)
 
 
+def test_sample_file_that_is_not_utf8_raises(tmp_path):
+    path = tmp_path / "sample.txt"
+    write_set_sample(EllipsoidIntervalFamily((1.0,), block_dim=4).sample(3, SeedSpec(1)), path)
+    path.write_bytes(path.read_bytes().replace(b"interval", b"interv\xffl", 1))
+    with pytest.raises(FamilyError, match="sample.txt is not UTF-8"):
+        read_set_sample(path)
+
+
 def test_truncated_or_mislabelled_sample_file_raises(tmp_path):
     path = tmp_path / "sample.txt"
     write_set_sample(EllipsoidIntervalFamily((1.0,), block_dim=4).sample(5, SeedSpec(1)), path)
@@ -302,7 +310,46 @@ def test_huge_axes_bound_the_variance_by_the_limit_or_by_inf():
     assert EllipsoidIntervalFamily((2.0,)).variance_bound() == 4.0 / 6.0
 
 
-# -- per-length spec cache ------------------------------------------------------
+# -- draw axes against the rule of the spec cache the family once kept -------------
+
+# 1e154 ** 2 = 1e308 is finite; 1e200 ** 2 overflows to inf
+_AXIS_PATTERNS = [(1.0,), (1.0, 5.0), (0.3, 1.7, 1.1), (1e154,), (1e200,)]
+
+
+def _same(got, want):
+    return got.shape == want.shape and got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 16, 17, 130, 1000])
+@pytest.mark.parametrize("block_dim", [None, 7])
+@pytest.mark.parametrize("pattern", _AXIS_PATTERNS)
+def test_draw_axes_equal_the_spec_rule(pattern, block_dim, n):
+    fam = EllipsoidIntervalFamily(pattern, block_dim)
+    spec = oracles.interval_spec_reference(pattern, block_dim, n)
+    with np.errstate(over="ignore"):
+        variances = spec.axes ** 2 / (spec.dim + 2.0)
+    assert _same(fam._draw_axes(n), spec.axes)
+    assert _same(fam.axes_for(n), np.resize(spec.axes, n))
+    assert _same(fam._mean_scales(n), np.resize(spec.axes, n))
+    assert _same(fam._scale_variances(n), np.resize(variances, n))
+    assert _same(interval_family_variances(spec), variances)
+    mode = "regenerated" if block_dim is None else f"block_dim={block_dim}"
+    note = " axes=min(pattern, sqrt(n))" if block_dim is None else ""
+    assert fam.describe(n) == (f"ellipsoid_interval a={fam.axes_pattern} {mode} "
+                               f"draw_dim={spec.dim}{note}")
+
+
+@pytest.mark.parametrize("block_dim", [None, 7])
+@pytest.mark.parametrize("n", [0, -1])
+def test_draw_axes_refuse_empty_lengths(block_dim, n):
+    fam = EllipsoidIntervalFamily((1.0, 5.0), block_dim)
+    for call in (fam._draw_axes, fam.axes_for, fam._mean_scales, fam._scale_variances,
+                 fam.describe):
+        with pytest.raises(FamilyError, match="length"):
+            call(n)
+
+
+# -- weak-law gaps against a spec rebuilt at every replication -----------------------
 
 def _fresh_gaps(fam, n, master, reps):
     """Weak-law gaps with a spec rebuilt from the pattern at every replication."""
@@ -310,11 +357,8 @@ def _fresh_gaps(fam, n, master, reps):
     gaps = np.empty(reps)
     for r in range(reps):
         rng = SeedSpec(master, (n << _STREAM_SHIFT) | r).generator()
-        d = fam.block_dim if fam.block_dim is not None else n
-        axes = np.resize(np.asarray(fam.axes_pattern), d)
-        if fam.block_dim is None:
-            axes = np.minimum(axes, math.sqrt(d))
-        spec = EllipsoidFamilySpec(tuple(axes))
+        spec = oracles.interval_spec_reference(fam.axes_pattern, fam.block_dim, n)
+        d = spec.dim
         a = np.asarray(spec.semi_axes)
         z = rng.standard_normal((-(-n // d), d))
         radii = rng.random(len(z)) ** (1.0 / d)
@@ -329,13 +373,13 @@ def _fresh_gaps(fam, n, master, reps):
 def test_cached_spec_gaps_equal_fresh_spec_gaps(block_dim, n):
     fam = EllipsoidIntervalFamily((1.0, 5.0), block_dim)  # sqrt(n) clamp bites at n = 10
     reps = 40
-    for _ in range(2):  # the second pass reads a cache the first one filled
+    for _ in range(2):  # the second pass reads the cursor the first one left
         cached = _wlln_chunk((fam, n, 77, 0, reps, *_wlln_constants(fam, n)))
         assert np.array_equal(cached, _fresh_gaps(fam, n, 77, reps))
 
 
 def test_spec_axes_are_read_only():
-    spec = EllipsoidIntervalFamily((1.0, 2.0))._spec_for(10)
+    spec = EllipsoidFamilySpec((1.0, 2.0, 0.5))
     assert np.array_equal(spec.axes, np.asarray(spec.semi_axes))
     with pytest.raises(ValueError):
         spec.axes[0] = 5.0
@@ -347,10 +391,9 @@ def test_filled_cache_keeps_family_equality_hash_and_pickle():
     size = len(pickle.dumps(a))
     a.support_draws(50, SeedSpec(3).generator())
     VarianceSchedule.from_family(a, 50)  # reads the grid norm, which is not cached
-    assert a._spec_for(50) is b._spec_for(50)
-    # same pattern and draw dimension, but only the regenerated spec is clamped
-    regen = EllipsoidIntervalFamily((1.0, 5.0))._spec_for(16)
-    assert regen.semi_axes != EllipsoidIntervalFamily((1.0, 5.0), 16)._spec_for(16).semi_axes
+    # same pattern and draw dimension, but only the regenerated axes are clamped
+    regen = EllipsoidIntervalFamily((1.0, 5.0))._draw_axes(16)
+    assert not np.array_equal(regen, EllipsoidIntervalFamily((1.0, 5.0), 16)._draw_axes(16))
     assert a == b and hash(a) == hash(b)
     assert len(pickle.dumps(a)) == size
     again = pickle.loads(pickle.dumps(a))
@@ -453,6 +496,18 @@ def test_cursor_rejects_out_of_range_seeds():
         StreamCursor(-1)
 
 
+def test_ellipsoid_uniform_draw_equals_the_seed_spec_draw():
+    spec = EllipsoidFamilySpec((1.0, 2.0, 0.5))
+    fam = EllipsoidIntervalFamily((1.0,), block_dim=4)
+    # the thread's cursor is left at another master seed, then mid-stream at this one
+    for before in (SeedSpec(9, 1), SeedSpec(3, 7)):
+        for seed in (SeedSpec(3, 0), SeedSpec(3, 7), SeedSpec(_U64_MAX, _U64_MAX)):
+            fam.sample(5, before)
+            got = sample_ellipsoid_uniform(spec, 6, seed)
+            want = _ellipsoid_block(spec.axes, 6, lambda _row: seed.generator(), 1)[0]
+            assert _same(got, want)
+
+
 def test_import_leaves_numpy_random_unloaded():
     # numpy loads numpy.random on first use; an import that forces it moves
     # about 15 ms into every command's start-up.  The thread pool's modules
@@ -541,8 +596,9 @@ def test_zero_norm_vectors_take_the_signs_of_their_zeros(zero, axes):
     spec = EllipsoidFamilySpec(axes)
     d = spec.dim
     # row 1 starts with an all-zero normal vector; rows 0 and 2 are plain streams
-    got = _ellipsoid_block(spec, 4, lambda i: _ZeroRowStream(i, zero if i == 1 else None), 3)
-    plain = _ellipsoid_block(spec, 4, lambda i: SeedSpec(5, i).generator(), 3)
+    got = _ellipsoid_block(spec.axes, 4,
+                           lambda i: _ZeroRowStream(i, zero if i == 1 else None), 3)
+    plain = _ellipsoid_block(spec.axes, 4, lambda i: SeedSpec(5, i).generator(), 3)
     rng = SeedSpec(5, 1).generator()
     rng.standard_normal((4, d))
     u = rng.random(4)[0]
@@ -690,7 +746,7 @@ def test_alternating_master_seeds_in_one_thread_draw_each_seed_spec_stream():
 def _reference_bodies(fam, count, seed):
     """The bodies of a family's draw on stream ``seed``, built from the raw draws."""
     if isinstance(fam, EllipsoidIntervalFamily):
-        spec = fam._spec_for(count)
+        spec = oracles.interval_spec_reference(fam.axes_pattern, fam.block_dim, count)
         # Y = X + a over independent blocks, from the public ellipsoid draw
         x = sample_ellipsoid_uniform(spec, -(-count // spec.dim), seed)
         return [Interval(0.0, float(y)) for y in (x + spec.axes).ravel()[:count]]
