@@ -410,9 +410,12 @@ def _law_outcome(report, out: Path, write_detail, write_summary, stdout: str,
 
 def _cmd_wlln(config: RunConfig, family, out: Callable[[], Path], threads: int) -> Outcome:
     p = config.params
-    report = run_wlln(WllnConfig(family, p["n_grid"], p["epsilon"], p["replications"],
-                                 SeedSpec(config.master_seed)),
-                      threads=threads, enforce_variance_condition=p["enforce_condition"])
+    wlln = WllnConfig(family, p["n_grid"], p["epsilon"], p["replications"],
+                      SeedSpec(config.master_seed))
+    try:
+        report = run_wlln(wlln, threads, enforce_variance_condition=p["enforce_condition"])
+    except HarnessError as exc:  # the refusal names the library's keyword
+        raise HarnessError(f"{exc}; in a config, set enforce_condition = false") from None
     stdout = "\n".join(
         f"n={row.n} mean_d_h={row.mean_value:.6g} exceedance={row.exceed_freq:.6g}"
         + ("" if row.bound is None else f" bound={row.bound:.6g}")
@@ -540,7 +543,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         try:
-            text = Path(args.config).read_text(encoding="utf-8")
+            # error offsets count from the file's start, byte-order mark included
+            text = Path(args.config).read_bytes().decode("utf-8").removeprefix("\ufeff")
         except UnicodeDecodeError as exc:
             raise ConfigError(f"config {args.config} is not UTF-8 text "
                               f"(byte {exc.start}: {exc.reason})") from None

@@ -22,7 +22,9 @@ whatever the grid size.
 
 Replications and paths are the unit of parallelism: each reads stream
 (master_seed, index) from its worker thread's cursor, and aggregation runs
-in a fixed order, so outputs are byte-identical at any worker count.
+in a fixed order, so outputs are byte-identical at any worker count.  A
+chunk only draws and reduces its rows; the run's elementwise and row-wise
+steps after it (gaps once per n, the pass rule once) give the same bits.
 
 This module only computes: reports and plot curves go to files through
 ``setlaw.cli``, which writes every output.
@@ -170,23 +172,15 @@ def _sums_in_order(s: np.ndarray) -> np.ndarray:
     return np.add.reduce(np.ascontiguousarray(s.T), axis=0)
 
 
-def _wlln_constants(family, n: int) -> tuple:
-    """What every weak-law chunk at n reads after its (family, n, seed, lo, hi):
-    the mean of mu_1..mu_n and the grid norm max_u |h_T(u)|, computed once per n."""
-    return _sums_in_order(family._mean_scales(n)[None])[0] / n, family._norm
-
-
 def _wlln_chunk(args) -> np.ndarray:
-    """Gaps S_n / n of replications lo..hi-1 (module docstring)."""
-    family, n, master_seed, lo, hi, target, norm = args
+    """In-order scale sums of replications lo..hi-1 (module docstring)."""
+    family, n, master_seed, lo, hi = args
     cursor = _cursor(master_seed)
     out = np.empty(hi - lo)
     for rows in _row_blocks(hi - lo, n):
-        s = family._scales(
+        out[rows] = _sums_in_order(family._scales(
             n, lambda i: cursor.at((n << _STREAM_SHIFT) | (lo + rows.start + i)),
-            rows.stop - rows.start)
-        np.abs(_sums_in_order(s) / n - target, out=out[rows])
-    out *= norm
+            rows.stop - rows.start))
     return out
 
 
@@ -220,10 +214,14 @@ def run_wlln(config: WllnConfig, threads: int = 1,
     rows = []
     detail: dict[int, np.ndarray] = {}
     for n in config.n_grid:
-        constants = _wlln_constants(family, n)
-        chunks = [(family, n, master, lo, min(lo + _WLLN_CHUNK, reps), *constants)
+        target = _sums_in_order(family._mean_scales(n)[None])[0] / n
+        chunks = [(family, n, master, lo, min(lo + _WLLN_CHUNK, reps))
                   for lo in range(0, reps, _WLLN_CHUNK)]
         gaps = np.concatenate(_map_chunks(_wlln_chunk, chunks, threads))
+        gaps /= n
+        gaps -= target
+        np.abs(gaps, out=gaps)
+        gaps *= family._norm
         exceed = float(np.count_nonzero(gaps > config.epsilon) / reps)
         bound = family.chebyshev_bound(n, config.epsilon)
         ok = _bound_ok(exceed, bound, reps) if bound is not None else None
@@ -295,11 +293,10 @@ def _interblock_maxima(s: np.ndarray, sq: np.ndarray) -> np.ndarray:
 
 def _slln_chunk(args):
     """Paths lo..hi-1 of a strong-law run: (S_n/n at the checkpoints,
-    interblock maxima, pass flags).  ``args`` is (family, max_n, master_seed,
-    lo, hi) and then ``_slln_constants``' tuple, which the run computes once
-    for all its chunks."""
-    (family, max_n, master_seed, lo, hi,
-     cps, sq, mean_scales, norm, threshold, window) = args
+    interblock maxima).  ``args`` is (family, max_n, master_seed, lo, hi) and
+    then ``_slln_constants``' tuple, which the run computes once for all its
+    chunks; the run applies the pass rule to all its paths at once."""
+    family, max_n, master_seed, lo, hi, cps, sq, mean_scales, norm = args
     cursor = _cursor(master_seed)
     # path p reads stream p.  By the scale identity of the module docstring,
     # S_k = |sum_{j<=k} (s_j - mu_j)| times the grid norm max_u |h_T(u)|; the
@@ -311,20 +308,17 @@ def _slln_chunk(args):
     s *= norm  # s[i, k-1] is path i's cumulative gap at length k
     # np.take keeps the columns row-major, as s[:, idx] would not: the
     # report's column means are summed in memory order, so layout shows in bits
-    s_over = np.take(s, cps - 1, axis=1) / cps
-    passed = (s_over[:, -1] < threshold) & _eventually_decreasing(s_over, window)
-    return s_over, _interblock_maxima(s, sq), passed
+    return np.take(s, cps - 1, axis=1) / cps, _interblock_maxima(s, sq)
 
 
-def _slln_constants(family, max_n: int, checkpoints, threshold: float,
-                    window: int) -> tuple:
+def _slln_constants(family, max_n: int, checkpoints) -> tuple:
     """What every strong-law chunk reads after its (family, max_n, seed, lo, hi):
-    the checkpoints, the squares m^2 <= max_n, the mean scales mu_1..mu_max_n,
-    the grid norm max_u |h_T(u)|, the threshold and the median window.  A run
-    computes them once, before its chunks start."""
+    the checkpoints, the squares m^2 <= max_n, the mean scales mu_1..mu_max_n
+    and the grid norm max_u |h_T(u)|.  A run computes them once, before its
+    chunks start."""
     roots = np.arange(1, math.isqrt(max_n) + 1)
     return (np.asarray(checkpoints), roots * roots, family._mean_scales(max_n),
-            family._norm, threshold, window)
+            family._norm)
 
 
 def run_slln(config: SllnConfig, threads: int = 1) -> ConvergenceReport:
@@ -349,14 +343,15 @@ def run_slln(config: SllnConfig, threads: int = 1) -> ConvergenceReport:
         raise HarnessError(f"family passes neither strong-law variance check ({notes})")
 
     master = config.seed.master_seed
-    constants = _slln_constants(family, config.max_n, config.checkpoints,
-                                config.threshold, config.median_window)
+    constants = _slln_constants(family, config.max_n, config.checkpoints)
     squares = constants[1]
     chunks = [(family, config.max_n, master, lo, min(lo + _SLLN_CHUNK, config.paths),
                *constants)
               for lo in range(0, config.paths, _SLLN_CHUNK)]
-    s_over, interblock, path_pass = (
+    s_over, interblock = (
         np.concatenate(part) for part in zip(*_map_chunks(_slln_chunk, chunks, threads)))
+    path_pass = ((s_over[:, -1] < config.threshold)
+                 & _eventually_decreasing(s_over, config.median_window))
 
     rows = []
     for j, n in enumerate(config.checkpoints):

@@ -4,7 +4,8 @@ Everything here deliberately avoids the library's computation paths:
 hulls, distances, and moments are recomputed from first principles so
 that agreement is evidence, not circularity.  The ``*_reference``
 functions are the exception: plain forms of library steps whose faster
-forms must return the same bytes.
+forms must return the same bytes; so is ``wlln_chunk_gaps``, which repeats
+the step a weak-law run takes after its chunks.
 """
 
 from __future__ import annotations
@@ -187,3 +188,14 @@ def interval_spec_reference(pattern, block_dim, n: int):
     if block_dim is None:
         axes = np.minimum(axes, np.sqrt(float(d)))
     return EllipsoidFamilySpec(tuple(axes))
+
+
+def wlln_chunk_gaps(args) -> np.ndarray:
+    """Gaps S_n / n of the replications of a weak-law chunk ``args``:
+    ``run_wlln``'s once-per-n step applied to the scale sums the chunk returns."""
+    from setlaw import harness
+    family, n = args[:2]
+    target = harness._sums_in_order(family._mean_scales(n)[None])[0] / n
+    gaps = np.abs(harness._wlln_chunk(args) / n - target)
+    gaps *= family._norm
+    return gaps

@@ -132,7 +132,7 @@ def test_hausdorff_prints_gap(capsys, tmp_path):
 def test_console_script_entry_point_runs(capsys, tmp_path):
     # the `setlaw` command that an install makes calls this target
     import importlib
-    tomllib = pytest.importorskip("tomllib")  # Python >= 3.11
+    import tomllib
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     target = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]["setlaw"]
     module, name = target.split(":")
@@ -365,6 +365,30 @@ def test_config_that_is_not_utf8_is_one_line_error(tmp_path):
     cfg.write_bytes(b"command = hausdorff\nbody_a = interval 0 1\nbody_b = interval 0 \xff\n")
     result = _run_cli(["--config", str(cfg), "--out", str(tmp_path / "o")])
     assert f"config {cfg} is not UTF-8 text (byte 62: " in _one_error_line(result)
+    assert not (tmp_path / "o").exists()
+
+
+def test_config_with_a_byte_order_mark_runs(tmp_path):
+    # the mark is dropped; a bad byte after it still counts from the file's start
+    cfg = tmp_path / "bom.cfg"
+    cfg.write_bytes(b"\xef\xbb\xbfcommand = hausdorff\nbody_a = interval 0 1\n"
+                    b"body_b = interval 0 2\n")
+    result = _run_cli(["--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "1.0\n"
+    cfg.write_bytes(b"\xef\xbb\xbfcommand = hausdorff\nbody_a = interval 0 1\n"
+                    b"body_b = interval 0 \xff\n")
+    result = _run_cli(["--config", str(cfg), "--out", str(tmp_path / "p")])
+    assert f"config {cfg} is not UTF-8 text (byte 65: " in _one_error_line(result)
+
+
+def test_variance_condition_refusal_names_the_config_key(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("command = wlln\nfamily = ellipsoid_interval\nblock_dim = 3\n"
+                   "n_grid = 10\nepsilon = 0.5\nreplications = 100\n")
+    line = _one_error_line(_run_cli(["--config", str(cfg), "--out", str(tmp_path / "o")]))
+    assert "violates the variance condition" in line
+    assert "enforce_condition = false" in line
     assert not (tmp_path / "o").exists()
 
 

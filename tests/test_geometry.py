@@ -251,7 +251,7 @@ def test_3d_sum_prune_keeps_maximizers_and_drops_only_deep_sums(case, seed):
 
 @pytest.mark.parametrize("case,seed", [(c, s) for c, s in FOLD_CASES if c != "flat"])
 def test_3d_sum_prune_keeps_every_hull_vertex(case, seed):
-    spatial = pytest.importorskip("scipy.spatial")
+    from scipy import spatial  # a test dependency: a missing oracle is an error
     folded, raw, _ = _fold(_fold_parts(case, seed))
     # qhull runs on a copy scaled exactly, by a power of two, to unit size
     unit = np.ldexp(raw, -np.frexp(np.abs(raw).max())[1])

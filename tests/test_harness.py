@@ -173,12 +173,17 @@ def test_wlln_chunk_bytes_do_not_depend_on_block_size(n, monkeypatch):
     from setlaw import Box, geometry, make_direction_grid
     box = ScaledTemplateFamily(Box((-0.5, 0.0), (1.0, 2.0)), "ar1", rho=0.3,
                                direction_grid=make_direction_grid(2, 16, "uniform_angles_2d"))
-    chunks = [(family, n, 19, 5, 45, *harness._wlln_constants(family, n))
+    chunks = [(family, n, 19, 5, 45)
               for family in (EllipsoidIntervalFamily((1.0, 2.0)), box)]
-    want = [harness._wlln_chunk(chunk).tobytes() for chunk in chunks]
+
+    def chunk_bytes():  # the scale sums, and the gaps the run makes of them
+        return [(harness._wlln_chunk(chunk).tobytes(),
+                 oracles.wlln_chunk_gaps(chunk).tobytes()) for chunk in chunks]
+
+    want = chunk_bytes()
     for elements in (7, 1 << 20):  # one replication per block; one block per chunk
         monkeypatch.setattr(geometry, "_BLOCK_ELEMENTS", elements)
-        assert [harness._wlln_chunk(chunk).tobytes() for chunk in chunks] == want
+        assert chunk_bytes() == want
 
 
 # -- weak-law chunk against the support-table chunk ---------------------------
@@ -235,7 +240,7 @@ def test_wlln_chunk_matches_the_support_table_chunk(name, n):
     table_target = np.outer(family._mean_scales(n), family._row).mean(axis=0)
     scaled = isinstance(family, ScaledTemplateFamily)
     for lo, hi in ((0, 1), (5, 70), (3, 259)):
-        new = harness._wlln_chunk((family, n, 19, lo, hi, *harness._wlln_constants(family, n)))
+        new = oracles.wlln_chunk_gaps((family, n, 19, lo, hi))
         old = _reference_wlln_chunk((family, n, 19, lo, hi, table_target))
         assert new.dtype == old.dtype and new.shape == old.shape
         if not scaled:
@@ -421,10 +426,10 @@ def test_threads_fill_cold_caches_without_changing_bytes(name, monkeypatch):
     def chunks(family, threads):
         # the chunks alone: no run builds a cursor before the pool starts, and
         # the caller's is dropped, so each worker's first chunk builds its own
-        constants = harness._slln_constants(family, 100, checkpoints, 0.05, 5)
+        constants = harness._slln_constants(family, 100, checkpoints)
         _drop_cursor()
         work = [(family, 100, 5, lo, lo + 2, *constants) for lo in range(0, 16, 2)]
-        return [[part.tobytes() for part in parts]
+        return [[part.tobytes() for part in (*parts, _pass_flags(parts[0], 0.05, 5))]
                 for parts in harness._map_chunks(harness._slln_chunk, work, threads)]
 
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
@@ -443,12 +448,12 @@ def test_chunk_map_builds_at_most_one_cursor_per_worker_thread(law, threads, mon
     fam = EllipsoidIntervalFamily((1.0, 2.0), block_dim=7)
     if law == "wlln":
         func, size = harness._wlln_chunk, harness._WLLN_CHUNK
-        constants = harness._wlln_constants(fam, 10)
+        constants = ()
         head = (fam, 10, 5)
     else:
         func, size = harness._slln_chunk, harness._SLLN_CHUNK
         checkpoints = SllnConfig(fam, 100, 1, SEED).checkpoints
-        constants = harness._slln_constants(fam, 100, checkpoints, 0.05, 5)
+        constants = harness._slln_constants(fam, 100, checkpoints)
         head = (fam, 100, 5)
     chunks = [(*head, lo, lo + size, *constants) for lo in range(0, 8 * size, size)]
     built = []
@@ -464,6 +469,36 @@ def test_chunk_map_builds_at_most_one_cursor_per_worker_thread(law, threads, mon
     harness._map_chunks(func, chunks, threads)
     # the pool's threads all live until the map ends, so their idents differ
     assert len(set(built)) == len(built) and 1 <= len(built) <= threads
+
+
+def test_law_chunks_carry_only_their_rows(monkeypatch):
+    # a weak-law chunk is (family, n, master_seed, lo, hi) and nothing the run
+    # computes once per n; a strong-law chunk returns S_n/n and the
+    # between-square maxima, and the run applies the pass rule
+    fam = EllipsoidIntervalFamily((1.0, 2.0), block_dim=7)
+    maps = []
+    original = harness._map_chunks
+
+    def spy(func, args_list, threads):
+        results = original(func, args_list, threads)
+        maps.append((func, args_list, results))
+        return results
+
+    monkeypatch.setattr(harness, "_map_chunks", spy)
+    reps, paths = 2 * harness._WLLN_CHUNK + 100, 3 * harness._SLLN_CHUNK + 1
+    run_wlln(WllnConfig(fam, (10, 100), 0.5, reps, SeedSpec(5)))
+    run_slln(SllnConfig(fam, 100, paths, SeedSpec(5)))
+    assert [m[0] for m in maps] == [harness._wlln_chunk] * 2 + [harness._slln_chunk]
+    (_, wlln_10, _), (_, wlln_100, _), (_, slln, results) = maps
+    for n, chunks in ((10, wlln_10), (100, wlln_100)):
+        assert all(len(chunk) == 5 and chunk[:3] == (fam, n, 5) for chunk in chunks)
+    for chunks, count in ((wlln_10, reps), (wlln_100, reps), (slln, paths)):
+        bounds = [0] + [chunk[4] for chunk in chunks]  # consecutive, from 0 to count
+        assert [chunk[3:5] for chunk in chunks] == list(zip(bounds, bounds[1:]))
+        assert bounds[-1] == count
+    for chunk, parts in zip(slln, results):
+        assert len(parts) == 2 and all(isinstance(part, np.ndarray) for part in parts)
+        assert [len(part) for part in parts] == [chunk[4] - chunk[3]] * 2
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -579,29 +614,42 @@ def test_row_medians_equal_numpy_median(window):
     assert got.tobytes() == want.tobytes()
 
 
-def _chunk_args(family, max_n, window, checkpoints=None, threshold=0.05):
+def _chunk_args(family, max_n, checkpoints=None):
     if checkpoints is None:
         checkpoints = SllnConfig(family, max_n, 1, SEED, median_window=1).checkpoints
     return (family, max_n, 31, 3, 7,
-            *harness._slln_constants(family, max_n, tuple(checkpoints), threshold, window))
+            *harness._slln_constants(family, max_n, tuple(checkpoints)))
 
 
-def _reference_args(args):
-    """The reference loop's inputs for the chunk ``args``: the same paths,
-    checkpoints, threshold and window, with the squares' roots 1..isqrt(max_n)."""
-    family, max_n, seed, lo, hi, cps, *_, threshold, window = args
+def _pass_flags(s_over, threshold, window):
+    """The pass rule ``run_slln`` applies to its paths' S_n/n once per run."""
+    return (s_over[:, -1] < threshold) & harness._eventually_decreasing(s_over, window)
+
+
+def _chunk_with_pass_flags(args, threshold, window):
+    """``harness._slln_chunk(args)`` and the pass flags of its paths."""
+    s_over, interblock = harness._slln_chunk(args)
+    return s_over, interblock, _pass_flags(s_over, threshold, window)
+
+
+def _reference_args(args, threshold, window):
+    """The reference loop's inputs for the chunk ``args``: the same paths and
+    checkpoints, with the squares' roots 1..isqrt(max_n), then the threshold
+    and window."""
+    family, max_n, seed, lo, hi, cps, *_ = args
     squares = tuple(range(1, math.isqrt(max_n) + 1))
     return (family, max_n, seed, lo, hi, tuple(cps.tolist()), squares, threshold, window)
 
 
-def _assert_same_chunk(args):
-    """The chunk against the reference loop.  Bit for bit on the interval
-    family, whose row is (1, 0), and on a deterministic one, whose gaps are 0.
-    On a scaled family the chunk multiplies one cumulative scale sum by the
-    grid norm, where the loop sums s_k h_T(u) - mu_k h_T(u) per direction, so
-    the values may differ by a few rounding steps: at most 8 ulps of the
-    largest value, and no verdict moves."""
-    new, old = harness._slln_chunk(args), _reference_slln_chunk(_reference_args(args))
+def _assert_same_chunk(args, threshold, window):
+    """The chunk and the run's pass rule against the reference loop.  Bit for
+    bit on the interval family, whose row is (1, 0), and on a deterministic
+    one, whose gaps are 0.  On a scaled family the chunk multiplies one
+    cumulative scale sum by the grid norm, where the loop sums
+    s_k h_T(u) - mu_k h_T(u) per direction, so the values may differ by a few
+    rounding steps: at most 8 ulps of the largest value, and no verdict moves."""
+    new = _chunk_with_pass_flags(args, threshold, window)
+    old = _reference_slln_chunk(_reference_args(args, threshold, window))
     assert len(new) == len(old)
     for a, b in zip(new, old):  # s_over, interblock (NaN included), pass
         # strides too: reductions over a column-major copy round differently
@@ -634,10 +682,11 @@ _BOX_IDS = ["box2d-256", "box2d-256-ar1", "box2d-256-growth"]
 @pytest.mark.parametrize("max_n", [4, 5, 10, 99, 400, 2500])
 def test_slln_chunk_matches_reference_loop(family, max_n):
     n_checkpoints = len(SllnConfig(family, max_n, 1, SEED, median_window=1).checkpoints)
+    args = _chunk_args(family, max_n)
     for window in (1, 4, 5, n_checkpoints + 3):
         # a high threshold lets the median certificate decide path_pass
         for threshold in (0.05, 10.0):
-            _assert_same_chunk(_chunk_args(family, max_n, window, threshold=threshold))
+            _assert_same_chunk(args, threshold, window)
 
 
 @pytest.mark.parametrize("family", [
@@ -646,8 +695,9 @@ def test_slln_chunk_matches_reference_loop(family, max_n):
 ], ids=["ellipsoid-interval", *_BOX_IDS])
 def test_slln_chunk_matches_reference_loop_on_explicit_checkpoints(family):
     cps = (1, 2, 3, 4, 7, 9, 16, 20, 25, 33, 36, 49, 50)
+    args = _chunk_args(family, 50, cps)
     for window in (1, 4, 5, 30):
-        _assert_same_chunk(_chunk_args(family, 50, window, cps, threshold=10.0))
+        _assert_same_chunk(args, 10.0, window)
 
 
 @pytest.mark.parametrize("family", [
@@ -678,11 +728,10 @@ def test_slln_chunk_memory_does_not_grow_with_the_grid():
     max_n = 20_000
     family = _box_family_256()
     checkpoints = SllnConfig(family, max_n, 1, SEED, median_window=1).checkpoints
-    args = (family, max_n, 31, 0, 8,
-            *harness._slln_constants(family, max_n, checkpoints, 0.05, 5))
+    args = (family, max_n, 31, 0, 8, *harness._slln_constants(family, max_n, checkpoints))
     tracemalloc.start()
     try:
-        harness._slln_chunk(args)
+        _chunk_with_pass_flags(args, 0.05, 5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -720,13 +769,13 @@ def test_slln_chunk_passes_and_fails_paths_like_the_reference():
     # the second path passes on its medians but ends above the threshold,
     # the last one ends below it but fails on its medians
     fam = EllipsoidIntervalFamily((1.0,), block_dim=4)
-    strict = _chunk_args(fam, 100, 5, threshold=0.03)
-    s_over, _, passed = harness._slln_chunk(strict)
-    on_medians = harness._slln_chunk(_chunk_args(fam, 100, 5, threshold=10.0))[2]
+    args = _chunk_args(fam, 100)
+    s_over, _, passed = _chunk_with_pass_flags(args, 0.03, 5)
+    on_medians = _chunk_with_pass_flags(args, 10.0, 5)[2]
     assert passed.tolist() == [False, False, True, False]
     assert on_medians.tolist() == [False, True, True, False]
     assert s_over[1, -1] > 0.03 and s_over[3, -1] < 0.03
-    _assert_same_chunk(strict)
+    _assert_same_chunk(args, 0.03, 5)
 
 
 def test_slln_detail_csv_rows_are_what_csv_writer_writes(tmp_path):

@@ -36,7 +36,7 @@ from setlaw import (
 )
 import oracles
 from setlaw import sampling
-from setlaw.harness import _STREAM_SHIFT, _wlln_chunk, _wlln_constants
+from setlaw.harness import _STREAM_SHIFT
 from setlaw.sampling import (
     DeterministicFamily,
     StreamCursor,
@@ -374,7 +374,7 @@ def test_cached_spec_gaps_equal_fresh_spec_gaps(block_dim, n):
     fam = EllipsoidIntervalFamily((1.0, 5.0), block_dim)  # sqrt(n) clamp bites at n = 10
     reps = 40
     for _ in range(2):  # the second pass reads the cursor the first one left
-        cached = _wlln_chunk((fam, n, 77, 0, reps, *_wlln_constants(fam, n)))
+        cached = oracles.wlln_chunk_gaps((fam, n, 77, 0, reps))
         assert np.array_equal(cached, _fresh_gaps(fam, n, 77, reps))
 
 
