@@ -17,6 +17,7 @@ values on the grid are convex from each direction's neighbours.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations
@@ -35,9 +36,16 @@ _DEFAULT_GRID_COUNT = 256
 _MAX_GRID_COUNT = 1 << 16
 
 # Element count of one block of a blocked array computation: 32768
-# float64 values (256 KiB) stay in cache, and no temporary grows with
-# the product of two large dimensions.
+# float64 values (256 KiB), so no temporary grows with the product of two
+# large dimensions.  A fresh array of that size lies above glibc's 128 KiB
+# mmap threshold, so each one is a new mapping whose pages fault in when
+# first written; blocked inner products therefore write into the thread's
+# work memory (:func:`_work`).
 _BLOCK_ELEMENTS = 1 << 15
+
+# Each thread's work memory (:func:`_work`), so that threads evaluating
+# blocks at the same time never write over each other's products.
+_thread = threading.local()
 
 
 class GeometryError(ValueError):
@@ -55,6 +63,15 @@ def _row_blocks(rows: int, width: int) -> Iterator[slice]:
     step = max(1, _BLOCK_ELEMENTS // max(width, 1))
     for start in range(0, rows, step):
         yield slice(start, min(rows, start + step))
+
+
+def _work(size: int) -> np.ndarray:
+    """This thread's work memory, at least ``size`` float64 values: grown to
+    the largest size the thread has asked for, and kept for its life."""
+    work = getattr(_thread, "work", None)
+    if work is None or len(work) < size:
+        work = _thread.work = np.empty(size)
+    return work
 
 
 def _unit_rows(rows) -> np.ndarray:
@@ -542,17 +559,38 @@ class Embedded(ConvexBody):
 # ---------------------------------------------------------------------------
 
 
-def _inner(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
+def _inner(P: np.ndarray, Q: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
     """Inner products of the columns of P (d, k) and Q (d, m), as a (k, m) array.
 
     Summed coordinate by coordinate (row by row of P and Q): a fixed order,
     unlike a BLAS product, so a value depends neither on the BLAS build and
-    its threads nor on which other columns are evaluated with it.
+    its threads nor on which other columns are evaluated with it.  The sum
+    takes the first 2 k m values of ``work`` (fresh memory if None): P[0]
+    x Q[0] goes into one half, each later coordinate's product into the
+    other, which is then added in place.  The result is a view of ``work``.
     """
-    out = np.multiply.outer(P[0], Q[0])
+    k, m = P.shape[1], Q.shape[1]
+    if work is None:
+        work = np.empty(2 * k * m)
+    out, term = work[:k * m].reshape(k, m), work[k * m:2 * k * m].reshape(k, m)
+    np.multiply.outer(P[0], Q[0], out=out)
     for c in range(1, len(P)):
-        out += np.multiply.outer(P[c], Q[c])
+        np.multiply.outer(P[c], Q[c], out=term)
+        out += term
     return out
+
+
+def _inner_blocks(P: np.ndarray, Q: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
+    """``(cols, _inner(P, Q[:, cols]))`` for the :func:`_row_blocks` of Q's
+    columns, each written into this thread's work memory.  That memory is at
+    most 2 x _BLOCK_ELEMENTS values (512 KiB), or 2 k when one column's k
+    products are more than _BLOCK_ELEMENTS.  A block's products are
+    overwritten by the next block's, so a caller reduces each block before
+    it asks for the next, and no view of the work memory leaves the caller.
+    """
+    k = P.shape[1]
+    for cols in _row_blocks(Q.shape[1], k):
+        yield cols, _inner(P, Q[:, cols], _work(2 * k * (cols.stop - cols.start)))
 
 
 def _direction_matrix(U, dim: int) -> np.ndarray:
@@ -569,7 +607,9 @@ def support_values(body: ConvexBody, U) -> np.ndarray:
     rows give the support function; other rows its positively homogeneous
     extension), except that embedded bodies answer only on their own grid
     and raise off it.  Each value depends on its own row alone, so any
-    subset of rows gives the same bits.
+    subset of rows gives the same bits.  A polytope's inner products are
+    formed one block of rows at a time in this thread's work memory (see
+    :func:`_inner_blocks`); the returned array is always fresh memory.
     """
     U = _direction_matrix(U, body.dim)
     if isinstance(body, Interval):
@@ -584,8 +624,8 @@ def support_values(body: ConvexBody, U) -> np.ndarray:
     if isinstance(body, Polytope):
         V, UT = np.ascontiguousarray(body.vertices.T), np.ascontiguousarray(U.T)
         out = np.empty(len(U))
-        for cols in _row_blocks(len(U), V.shape[1]):
-            out[cols] = _inner(V, UT[:, cols]).max(axis=0)
+        for cols, products in _inner_blocks(V, UT):
+            np.max(products, axis=0, out=out[cols])
         return out
     if isinstance(body, Ellipsoid):
         center, squares = np.zeros(len(U)), np.zeros(len(U))
@@ -747,8 +787,8 @@ def _drop_interior(points: np.ndarray) -> np.ndarray:
     normals = np.concatenate([normals[:, up], -normals[:, down]], axis=1)
     floor = np.concatenate([base[up] - slack[up], -base[down] - slack[down]])
     keep = np.empty(len(points), dtype=bool)
-    for cols in _row_blocks(len(points), len(floor)):
-        keep[cols] = (_inner(normals, coords[:, cols]) >= floor[:, None]).any(axis=0)
+    for cols, products in _inner_blocks(normals, coords):
+        np.any(products >= floor[:, None], axis=0, out=keep[cols])
     return points[keep]
 
 

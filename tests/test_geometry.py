@@ -21,6 +21,7 @@ from setlaw import (
     SupportVector,
     embed,
     format_body,
+    geometry,
     hausdorff_distance,
     make_direction_grid,
     minkowski_sum,
@@ -291,6 +292,52 @@ def test_3d_interior_drop_keeps_the_reference_rows_on_five_fold_gaussian_sums():
     for seed in range(24):
         rng = np.random.default_rng([seed, 5])
         assert _drops_match_reference([rng.normal(size=(8, 3)) for _ in range(5)]), seed
+
+
+def _three_fold_sums(kind: str) -> tuple[Polytope, np.ndarray]:
+    """The library's sum of two seeded 8-vertex 3-D parts, and the third
+    part: Gaussian, or lattice rows whose zeros carry random signs, so that
+    the keep test's products hold both signed zeros."""
+    rng = np.random.default_rng([len(kind), 30])
+    if kind == "gaussian":
+        parts = [rng.normal(size=(8, 3)) for _ in range(3)]
+    else:
+        parts = [rng.integers(-2, 3, size=(8, 3)).astype(float) for _ in range(3)]
+        for part in parts:
+            part[(part == 0.0) & (rng.random(part.shape) < 0.5)] = -0.0
+    return minkowski_sum(Polytope(parts[0]), Polytope(parts[1])), parts[2]
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "signed-zero"])
+@pytest.mark.parametrize("edge", ["one block", "one block and one row", "one row per block"])
+def test_3d_sum_at_keep_block_edges_keeps_the_reference_rows(kind, edge, monkeypatch):
+    partial, part = _three_fold_sums(kind)
+    sums = (partial.vertices[:, None, :] + part[None, :, :]).reshape(-1, 3)
+    blocks = []  # per keep-test block: planes, and whether its products hold both zeros
+    inner = geometry._inner
+
+    def spy(P, Q, work=None):
+        out = inner(P, Q, work)
+        if work is not None:
+            zeros = np.signbit(out[out == 0.0])
+            blocks.append((len(out), zeros.any() and not zeros.all()))
+        return out
+
+    monkeypatch.setattr(geometry, "_inner", spy)
+    _drop_interior(sums)
+    planes, rows = blocks[0][0], len(sums)
+    assert kind == "gaussian" or any(both for _, both in blocks)
+    elements, count = {"one block": (rows * planes, 1),
+                       "one block and one row": ((rows - 1) * planes, 2),
+                       "one row per block": (planes - 1, rows)}[edge]
+    monkeypatch.setattr(geometry, "_BLOCK_ELEMENTS", elements)
+    kept = oracles.drop_interior_reference(sums)
+    assert len(kept) < len(sums)
+    blocks.clear()
+    assert _same_rows(_drop_interior(sums), kept)
+    assert len(blocks) == count
+    assert _same_rows(minkowski_sum(partial, Polytope(part)).vertices,
+                      np.unique(kept, axis=0))
 
 
 @st.composite

@@ -16,11 +16,20 @@ from setlaw import (
     Interval,
     Polytope,
     embed,
+    hausdorff_distance,
     make_direction_grid,
     support_function,
     support_values,
 )
-from setlaw.geometry import DUPLICATE_TOL, DirectionGrid, SupportVector, _default_grid
+from setlaw.geometry import (
+    _BLOCK_ELEMENTS,
+    DUPLICATE_TOL,
+    DirectionGrid,
+    SupportVector,
+    _default_grid,
+)
+
+import oracles
 
 # signed zeros and exact small values next to arbitrary floats, so that
 # products like 0.0 * -1.0 = -0.0 occur
@@ -128,6 +137,40 @@ def test_polytope_support_in_blocks_matches_per_direction_values():
     expected = [float(np.max(body.vertices @ u)) for u in grid.matrix]
     assert np.allclose(values, expected, rtol=1e-14, atol=1e-14)
     assert _same_bits(values[5:9], support_values(body, grid.matrix[5:9]))
+
+
+def _block_edge_polygons(k: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Two k-vertex 2-D vertex arrays and m distinct unit rows.  The vertices
+    lie in the closed negative quadrant with some coordinates +-0.0, and the
+    rows include the four axes with signed zeros, so that many products are
+    +-0.0 and a support value in a direction of the closed positive
+    quadrant is a maximum over products 0.0 and -0.0."""
+    rng = np.random.default_rng([k, m])
+    bodies = []
+    for _ in range(2):
+        vertices = -np.abs(rng.normal(size=(k, 2)))
+        zero = rng.random((k, 2)) < 0.3
+        vertices[zero] = np.where(rng.random(int(zero.sum())) < 0.5, 0.0, -0.0)
+        bodies.append(vertices)
+    angles = 2.0 * math.pi * (np.arange(m - 4) + 0.3) / (m - 4)  # none on an axis
+    axes = [[1.0, -0.0], [-0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]
+    return bodies[0], bodies[1], np.vstack([np.column_stack([np.cos(angles), np.sin(angles)]),
+                                            axes])
+
+
+@pytest.mark.parametrize("k,m", [(8, _BLOCK_ELEMENTS // 8),        # one block exactly
+                                 (8, _BLOCK_ELEMENTS // 8 + 1),    # and one column more
+                                 (_BLOCK_ELEMENTS + 3, 6)])        # one column per block
+def test_polytope_support_at_block_edges_matches_the_reference_bytes(k, m):
+    a, b, U = _block_edge_polygons(k, m)
+    products = oracles._inner(a.T, U.T)
+    zeros = np.signbit(products[products == 0.0])
+    assert zeros.any() and not zeros.all()  # products of both signed zeros
+    want_a, want_b = products.max(axis=0), oracles._inner(b.T, U.T).max(axis=0)
+    assert _same_bits(support_values(Polytope(a), U), want_a)
+    assert _same_bits(support_values(Polytope(b), U), want_b)
+    distance = hausdorff_distance(Polytope(a), Polytope(b), DirectionGrid(U))
+    assert _same_bits(distance, np.abs(want_a - want_b).max())
 
 
 # -- direction grids -----------------------------------------------------------
